@@ -1,33 +1,38 @@
 //! Tier-1: query budgets on the litmus suites are pinned.
 //!
 //! The whole point of the query-avoidance layer is that `sat_queries`
-//! stays small and `queries_avoided` large; both are deterministic for
-//! a fixed suite at `jobs = 1`. Pinning them catches silent regressions
-//! (a pre-screen bailing to the solver, an enumeration change blowing
-//! up the query count) the findings-equality tests cannot see.
+//! stays small and `queries_avoided` / `prefilter_hits` large; all three
+//! are deterministic for a fixed suite at `jobs = 1`. Pinning them
+//! catches silent regressions (a pre-screen bailing to the solver, an
+//! enumeration change blowing up the query count, an engine loop
+//! issuing its checks in a different order) the findings-equality tests
+//! cannot see.
 //!
 //! If you *deliberately* change enumeration order, the pre-screen's
 //! decidable fragment, or the litmus corpus, re-record the constants
-//! below (print `(q, a)` from this test) and justify the movement in
+//! below (print the triple from this test) and justify the movement in
 //! the PR description.
 
 use lcm::corpus::all_litmus;
 use lcm::detect::{Detector, DetectorConfig, EngineKind};
 
-fn budget(engine: EngineKind) -> (u64, u64) {
+/// `(sat_queries, queries_avoided, prefilter_hits)` summed over every
+/// litmus program.
+fn budget(engine: EngineKind) -> (u64, u64, u64) {
     let det = Detector::new(DetectorConfig {
         jobs: 1,
         ..DetectorConfig::default()
     });
-    let (mut q, mut a) = (0u64, 0u64);
+    let (mut q, mut a, mut p) = (0u64, 0u64, 0u64);
     for (_suite, benches) in all_litmus() {
         for b in benches {
             let t = det.analyze_module(&b.module(), engine).timings();
             q += t.sat_queries;
             a += t.queries_avoided;
+            p += t.prefilter_hits;
         }
     }
-    (q, a)
+    (q, a, p)
 }
 
 /// The litmus programs' feasibility stacks all fall inside the
@@ -35,16 +40,17 @@ fn budget(engine: EngineKind) -> (u64, u64) {
 /// one branch decision), so the solver is never consulted at all.
 #[test]
 fn litmus_query_budgets_are_pinned() {
-    assert_eq!(
-        budget(EngineKind::Pht),
-        (0, 391),
-        "PHT (sat_queries, queries_avoided)"
-    );
-    assert_eq!(
-        budget(EngineKind::Stl),
-        (0, 309),
-        "STL (sat_queries, queries_avoided)"
-    );
+    for (engine, pinned) in [
+        (EngineKind::Pht, (0, 391, 142)),
+        (EngineKind::Stl, (0, 309, 103)),
+        (EngineKind::Psf, (0, 358, 146)),
+    ] {
+        assert_eq!(
+            budget(engine),
+            pinned,
+            "{engine:?} (sat_queries, queries_avoided, prefilter_hits)"
+        );
+    }
 }
 
 /// And with the layer disabled, the same workload pays for every one of

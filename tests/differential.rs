@@ -58,24 +58,60 @@ fn compile() -> lcm::ir::Module {
 
 const ENGINES: [EngineKind; 3] = [EngineKind::Pht, EngineKind::Stl, EngineKind::Psf];
 
+/// The configurations the cross-jobs comparison runs under: the
+/// default, the fresh-solver oracle, and every switch that changes
+/// which classify path a candidate chain takes.
+fn job_split_configs() -> Vec<(&'static str, DetectorConfig)> {
+    let d = DetectorConfig::default;
+    vec![
+        ("default", d()),
+        (
+            "disable_incremental",
+            DetectorConfig {
+                disable_incremental: true,
+                ..d()
+            },
+        ),
+        (
+            "detect_interference",
+            DetectorConfig {
+                detect_interference: true,
+                ..d()
+            },
+        ),
+        (
+            "no_gep_filter",
+            DetectorConfig {
+                gep_filter: false,
+                ..d()
+            },
+        ),
+        (
+            "committed_universal_access",
+            DetectorConfig {
+                universal_needs_transient_access: false,
+                ..d()
+            },
+        ),
+    ]
+}
+
 #[test]
 fn findings_are_identical_across_job_counts_for_every_engine() {
     let m = compile();
     for engine in ENGINES {
-        for disable_incremental in [false, true] {
+        for (variant, config) in job_split_configs() {
             let run = |jobs: usize| {
                 Detector::new(DetectorConfig {
                     jobs,
-                    disable_incremental,
-                    ..DetectorConfig::default()
+                    ..config.clone()
                 })
                 .analyze_module(&m, engine)
             };
             let serial = run(1);
             for jobs in [2, 4, 8] {
                 let par = run(jobs);
-                let label =
-                    format!("{engine:?}, jobs={jobs}, disable_incremental={disable_incremental}");
+                let label = format!("{engine:?}, jobs={jobs}, {variant}");
                 assert_eq!(serial.functions.len(), par.functions.len(), "{label}");
                 for (s, p) in serial.functions.iter().zip(&par.functions) {
                     assert_eq!(s.name, p.name, "{label}: function order");

@@ -87,7 +87,7 @@ fn synthetic_findings_identical_without_prefilter() {
     };
     let (src, _) = synthetic_library(cfg);
     let m = lcm::minic::compile(&src).expect("synthetic library compiles");
-    for engine in [EngineKind::Pht, EngineKind::Stl] {
+    for engine in [EngineKind::Pht, EngineKind::Stl, EngineKind::Psf] {
         assert_identical(&format!("synth/{engine:?}"), &m, engine);
     }
 }
