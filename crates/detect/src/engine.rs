@@ -5,9 +5,10 @@
 //! [`lcm_core::par`] worker threads when [`DetectorConfig::jobs`]
 //! permits; results come back in module order, byte-identical to a
 //! serial run. Worker threads left over after the per-function split
-//! are pushed *into* the functions: each engine's candidate loop is a
-//! sequence of independent work units ((branch, direction) pairs for
-//! PHT, loads for STL/PSF), and with more than one intra-function
+//! are pushed *into* the functions: the engines share one candidate
+//! loop, parameterised by [`EngineKind`], over a sequence of independent
+//! work units ((branch, direction) pairs for PHT, loads for STL/PSF),
+//! and with more than one intra-function
 //! worker each unit runs on a per-worker **clone** of the function's
 //! [`Feasibility`] stack (solver, memo, and all). Every unit starts
 //! from an empty assumption stack and checks are answered semantically
@@ -30,12 +31,12 @@ use std::time::Instant;
 use lcm_aeg::addr::{alias, AliasResult};
 use lcm_aeg::deps::{ctrl_edges, generalized_addr, Gaddr};
 use lcm_aeg::taint::attacker_controlled;
-use lcm_aeg::{EventId, EventKind, Feasibility, Saeg};
+use lcm_aeg::{BranchInfo, EventId, EventKind, FeasStats, Feasibility, Saeg};
 use lcm_core::fault::{site, FaultPlan};
 use lcm_core::govern::{AnalysisError, Budgets, ResourceGovernor};
 use lcm_core::speculation::{SpeculationConfig, SpeculationPrimitive};
 use lcm_core::taxonomy::TransmitterClass;
-use lcm_ir::{Inst, Module};
+use lcm_ir::{BlockId, Inst, Module};
 use lcm_relalg::Relation;
 
 use crate::report::{
@@ -128,50 +129,21 @@ fn work_units() -> &'static lcm_obs::metrics::Counter {
     })
 }
 
-/// `after - before`, field-wise: the stats one worker accumulated on its
-/// cloned [`Feasibility`] during a work unit (the clone inherits the
-/// template's construction-time counters, which must not be re-counted).
-fn stats_delta(after: lcm_aeg::FeasStats, before: lcm_aeg::FeasStats) -> lcm_aeg::FeasStats {
-    lcm_aeg::FeasStats {
-        queries: after.queries.saturating_sub(before.queries),
-        memo_hits: after.memo_hits.saturating_sub(before.memo_hits),
-        queries_avoided: after.queries_avoided.saturating_sub(before.queries_avoided),
-        prefilter_hits: after.prefilter_hits.saturating_sub(before.prefilter_hits),
-        encode: after.encode.saturating_sub(before.encode),
-        solve: after.solve.saturating_sub(before.solve),
-        solver_reuses: after.solver_reuses.saturating_sub(before.solver_reuses),
-        clauses_retained: after
-            .clauses_retained
-            .saturating_sub(before.clauses_retained),
-    }
-}
-
-/// Field-wise sum of two stats records.
-fn stats_add(a: lcm_aeg::FeasStats, b: lcm_aeg::FeasStats) -> lcm_aeg::FeasStats {
-    lcm_aeg::FeasStats {
-        queries: a.queries + b.queries,
-        memo_hits: a.memo_hits + b.memo_hits,
-        queries_avoided: a.queries_avoided + b.queries_avoided,
-        prefilter_hits: a.prefilter_hits + b.prefilter_hits,
-        encode: a.encode + b.encode,
-        solve: a.solve + b.solve,
-        solver_reuses: a.solver_reuses + b.solver_reuses,
-        clauses_retained: a.clauses_retained + b.clauses_retained,
-    }
-}
-
-/// Concatenates per-unit findings in unit order (= serial engine order)
-/// and sums the per-unit stats deltas.
-fn merge_units(
-    results: Vec<(Vec<Finding>, lcm_aeg::FeasStats)>,
-) -> (Vec<Finding>, lcm_aeg::FeasStats) {
-    let mut out = Vec::new();
-    let mut st = lcm_aeg::FeasStats::default();
-    for (findings, delta) in results {
-        out.extend(findings);
-        st = stats_add(st, delta);
-    }
-    (out, st)
+/// `acc += after - before`, field-wise: folds the stats one worker
+/// accumulated on its cloned [`Feasibility`] during a work unit into
+/// `acc` (the clone inherits the template's counters, which must not be
+/// re-counted).
+fn add_delta(acc: &mut FeasStats, after: FeasStats, before: FeasStats) {
+    acc.queries += after.queries.saturating_sub(before.queries);
+    acc.memo_hits += after.memo_hits.saturating_sub(before.memo_hits);
+    acc.queries_avoided += after.queries_avoided.saturating_sub(before.queries_avoided);
+    acc.prefilter_hits += after.prefilter_hits.saturating_sub(before.prefilter_hits);
+    acc.encode += after.encode.saturating_sub(before.encode);
+    acc.solve += after.solve.saturating_sub(before.solve);
+    acc.solver_reuses += after.solver_reuses.saturating_sub(before.solver_reuses);
+    acc.clauses_retained += after
+        .clauses_retained
+        .saturating_sub(before.clauses_retained);
 }
 
 /// Lazily memoized per-event steerability (the §5.3 taint filter):
@@ -548,12 +520,6 @@ impl Detector {
         let mut sp = lcm_obs::span("engine_run", "detect");
         sp.arg_str("fn", &saeg.fname);
         sp.arg_str("engine", engine.label());
-        let gaddr = generalized_addr(saeg);
-        let ctrl = ctrl_edges(saeg);
-        let preds = DepPreds::build(saeg.events.len(), &gaddr, &ctrl);
-        // Whether the engines' duplicate-block fast paths may answer
-        // checks without consulting the solver layer at all.
-        let pf = !self.config.disable_prefilter && !lcm_aeg::prefilter_disabled_by_env();
         let incremental =
             !self.config.disable_incremental && !lcm_aeg::incremental_disabled_by_env();
         let mut feas = Feasibility::with_prefilter(saeg, !self.config.disable_prefilter);
@@ -562,18 +528,14 @@ impl Detector {
             feas.attach_governor(Arc::clone(g));
         }
         let jobs = lcm_core::par::effective_jobs(self.config.jobs);
-        let (mut raw, extra) = match engine {
-            EngineKind::Pht => self.run_pht(saeg, &preds, pf, &mut feas, jobs),
-            EngineKind::Stl => self.run_stl(saeg, &gaddr, &ctrl, pf, &mut feas, jobs),
-            EngineKind::Psf => self.run_psf(saeg, &gaddr, pf, &mut feas, jobs),
-        };
+        let run = EngineRun::new(&self.config, saeg, engine);
+        let (mut raw, st) = run.run_units(&mut feas, jobs);
         // Deduplicate by (transmitter, class, primitive); keep first.
         let mut seen = std::collections::HashSet::new();
         raw.retain(|f| seen.insert(f.key()));
         if let Some(c) = self.config.target_class {
             raw.retain(|f| f.class == c);
         }
-        let st = stats_add(feas.stats(), extra);
         sp.arg_u64("sat_queries", st.queries);
         sp.arg_u64("queries_avoided", st.queries_avoided);
         sp.arg_u64("solver_reuses", st.solver_reuses);
@@ -595,453 +557,294 @@ impl Detector {
         };
         (raw, timings)
     }
+}
 
-    fn within_window(&self, saeg: &Saeg, a: EventId, t: EventId) -> bool {
-        let (pa, pt) = (saeg.events[a.0].pos, saeg.events[t.0].pos);
-        pt >= pa && pt - pa <= self.config.window
+/// One engine run over one function. All three engines share this
+/// candidate loop: a sequence of independent work units —
+/// (branch, misprediction direction) pairs for PHT, loads for STL/PSF —
+/// dispatched by [`Self::run_units`]. The engine is read once at unit
+/// entry; the checks, the classification and the finding builder are
+/// common to all of them.
+struct EngineRun<'a> {
+    config: &'a DetectorConfig,
+    saeg: &'a Saeg,
+    kind: EngineKind,
+    /// The speculation primitive every finding of this run names.
+    primitive: SpeculationPrimitive,
+    gaddr: Gaddr,
+    ctrl: Relation,
+    preds: DepPreds,
+    loads: Vec<EventId>,
+    stores: Vec<EventId>,
+    /// Whether the duplicate-block fast paths may answer checks without
+    /// consulting the solver layer at all.
+    pf: bool,
+}
+
+/// What a work unit's findings stem from.
+#[derive(Clone, Copy)]
+enum Origin {
+    /// A mispredicted conditional branch (PHT).
+    Branch(BlockId),
+    /// A store forwarded into a load (STL/PSF).
+    Store(EventId),
+}
+
+/// Per-worker scratch reused across work units: the PHT window bitset
+/// (cleared again when a unit ends), the steerability memo, and the
+/// current unit's findings.
+struct Scratch {
+    in_win: Vec<bool>,
+    steer: SteerCache,
+    out: Vec<Finding>,
+}
+
+impl Scratch {
+    fn new(events: usize) -> Scratch {
+        Scratch {
+            in_win: vec![false; events],
+            steer: SteerCache::new(events),
+            out: Vec::new(),
+        }
+    }
+}
+
+impl<'a> EngineRun<'a> {
+    fn new(config: &'a DetectorConfig, saeg: &'a Saeg, kind: EngineKind) -> Self {
+        let gaddr = generalized_addr(saeg);
+        let ctrl = ctrl_edges(saeg);
+        EngineRun {
+            config,
+            saeg,
+            kind,
+            primitive: match kind {
+                EngineKind::Pht => SpeculationPrimitive::ConditionalBranch,
+                EngineKind::Stl => SpeculationPrimitive::StoreForwarding,
+                EngineKind::Psf => SpeculationPrimitive::AliasPrediction,
+            },
+            preds: DepPreds::build(saeg.events.len(), &gaddr, &ctrl),
+            gaddr,
+            ctrl,
+            loads: saeg.loads().map(|e| e.id).collect(),
+            stores: saeg.stores().map(|e| e.id).collect(),
+            pf: !config.disable_prefilter && !lcm_aeg::prefilter_disabled_by_env(),
+        }
     }
 
-    /// PHT engine: for each conditional branch and misprediction
-    /// direction, the attacker poisons the predictor (§3.3) and every
-    /// event in the speculative window may execute transiently.
-    ///
-    /// `jobs > 1` splits the (branch, direction) pairs across workers,
-    /// each on its own [`Feasibility`] clone; unit-order merge keeps the
+    /// Runs every work unit and returns the findings in unit order with
+    /// the run's feasibility stats. `jobs <= 1` is the literal serial
+    /// loop on the shared `feas`; above that each unit runs on a
+    /// per-worker clone of it, and merging in unit order keeps the
     /// output byte-identical to the serial loop.
-    fn run_pht(
-        &self,
-        saeg: &Saeg,
-        preds: &DepPreds,
-        pf: bool,
-        feas: &mut Feasibility,
-        jobs: usize,
-    ) -> (Vec<Finding>, lcm_aeg::FeasStats) {
-        let n = saeg.events.len();
-        let units: Vec<(usize, bool)> = (0..saeg.branches.len())
-            .flat_map(|bi| [(bi, true), (bi, false)])
-            .collect();
-        if jobs <= 1 || units.len() <= 1 {
-            let mut out = Vec::new();
-            // Window membership bitset, reused across (branch,
-            // direction) pairs so the hot loops avoid a binary search
-            // per candidate.
-            let mut in_win = vec![false; n];
-            let mut steer = SteerCache::new(n);
-            for br in &saeg.branches {
-                if !feas.governor_ok() {
+    fn run_units(&self, feas: &mut Feasibility, jobs: usize) -> (Vec<Finding>, FeasStats) {
+        let n = self.saeg.events.len();
+        let count = match self.kind {
+            EngineKind::Pht => 2 * self.saeg.branches.len(),
+            EngineKind::Stl | EngineKind::Psf => self.loads.len(),
+        };
+        if jobs <= 1 || count <= 1 {
+            let mut sc = Scratch::new(n);
+            for u in 0..count {
+                // PHT polls the governor once per branch, before its
+                // first direction.
+                if (self.kind != EngineKind::Pht || u.is_multiple_of(2)) && !feas.governor_ok() {
                     break;
                 }
-                for mispredict_then in [true, false] {
-                    self.pht_unit(
-                        saeg,
-                        preds,
-                        pf,
-                        feas,
-                        br,
-                        mispredict_then,
-                        &mut in_win,
-                        &mut steer,
-                        &mut out,
-                    );
-                }
+                self.unit(feas, &mut sc, u);
             }
-            return (out, lcm_aeg::FeasStats::default());
+            return (sc.out, feas.stats());
         }
-        work_units().add(units.len() as u64);
+        work_units().add(count as u64);
+        let units: Vec<usize> = (0..count).collect();
         let template: &Feasibility = feas;
         let results = lcm_core::par::map_indexed_with(
             &units,
             jobs,
-            || (template.clone(), vec![false; n], SteerCache::new(n)),
-            |(wf, in_win, steer), _, &(bi, mispredict_then)| {
+            || (template.clone(), Scratch::new(n)),
+            |(wf, sc), _, &u| {
                 let before = wf.stats();
-                let mut out = Vec::new();
                 if wf.governor_ok() {
-                    self.pht_unit(
-                        saeg,
-                        preds,
-                        pf,
-                        wf,
-                        &saeg.branches[bi],
-                        mispredict_then,
-                        in_win,
-                        steer,
-                        &mut out,
-                    );
+                    self.unit(wf, sc, u);
                 }
-                (out, stats_delta(wf.stats(), before))
+                (std::mem::take(&mut sc.out), wf.stats(), before)
             },
         );
-        merge_units(results)
+        let mut st = feas.stats();
+        let mut out = Vec::new();
+        for (found, after, before) in results {
+            out.extend(found);
+            add_delta(&mut st, after, before);
+        }
+        (out, st)
     }
 
-    /// One PHT work unit: everything the engine does for a single
-    /// (branch, misprediction-direction) pair. Starts and ends with an
-    /// empty assumption stack; `in_win` is caller-provided scratch
-    /// (cleared again on exit) sized to the event count.
-    #[allow(clippy::too_many_arguments)]
+    /// Work unit `u`, starting and ending with an empty assumption
+    /// stack: for PHT, branch `u / 2` mispredicted toward its then-side
+    /// when `u` is even; for STL/PSF, the `u`-th load.
+    fn unit(&self, feas: &mut Feasibility, sc: &mut Scratch, u: usize) {
+        match self.kind {
+            EngineKind::Pht => {
+                self.pht_unit(feas, sc, &self.saeg.branches[u / 2], u.is_multiple_of(2))
+            }
+            EngineKind::Stl | EngineKind::Psf => self.forward_unit(feas, sc, self.loads[u]),
+        }
+    }
+
+    fn within_window(&self, a: EventId, t: EventId) -> bool {
+        let (pa, pt) = (self.saeg.events[a.0].pos, self.saeg.events[t.0].pos);
+        pt >= pa && pt - pa <= self.config.window
+    }
+
+    /// One candidate check: pushes the blocks' architectural literals
+    /// and asks whether the stack is still satisfiable. `unchanged` says
+    /// the pushes add nothing the verified stack did not already
+    /// require, so with the pre-filter on the answer is the previous
+    /// one — true — without consulting the solver layer. Returns the
+    /// mark to truncate back to, or `None` (stack restored) when the
+    /// candidate is infeasible.
+    fn check(&self, feas: &mut Feasibility, blocks: &[BlockId], unchanged: bool) -> Option<usize> {
+        let m = feas.mark();
+        for &b in blocks {
+            feas.push(feas.arch_lit(b));
+        }
+        if self.pf && unchanged {
+            feas.note_prefilter_hit();
+            return Some(m);
+        }
+        if feas.check_stack() {
+            Some(m)
+        } else {
+            feas.truncate(m);
+            None
+        }
+    }
+
+    /// PHT unit: the attacker poisons the predictor so `br` mispredicts
+    /// (§3.3), and every event in the speculative window may execute
+    /// transiently.
     fn pht_unit(
         &self,
-        saeg: &Saeg,
-        preds: &DepPreds,
-        pf: bool,
         feas: &mut Feasibility,
-        br: &lcm_aeg::BranchInfo,
+        sc: &mut Scratch,
+        br: &BranchInfo,
         mispredict_then: bool,
-        in_win: &mut [bool],
-        steer: &mut SteerCache,
-        out: &mut Vec<Finding>,
     ) {
         let Some(dec) = feas.decision_lit(br.block) else {
             return;
         };
-        {
-            // Architectural direction is the opposite of the
-            // mispredicted fetch direction.
-            let arch_dir = if mispredict_then { !dec } else { dec };
-            let base = feas.mark();
-            let br_lit = feas.arch_lit(br.block);
-            feas.push(br_lit);
-            feas.push(arch_dir);
-            if !feas.check_stack() {
-                feas.truncate(base);
-                return;
-            }
-            let window = saeg.spec_window(br, mispredict_then);
-            for &e in &window {
-                in_win[e.0] = true;
-            }
-            for &t in &window {
-                if !feas.governor_ok() {
-                    break;
-                }
-                let te = &saeg.events[t.0];
-                if te.kind == EventKind::Fence {
-                    continue;
-                }
-                // --- data chains: access -gaddr-> t ---
-                for &access in &preds.gaddr[t.0] {
-                    if access == t || !self.within_window(saeg, access, t) {
-                        continue;
-                    }
-                    let access_transient = in_win[access.0];
-                    if !access_transient && !saeg.precedes(access, t) {
-                        continue;
-                    }
-                    let m = feas.mark();
-                    if !access_transient {
-                        let l = feas.arch_lit(saeg.events[access.0].block);
-                        feas.push(l);
-                    }
-                    // A transient access adds nothing to the stack:
-                    // the answer is the base query's, already true.
-                    let ok = if pf && access_transient {
-                        feas.note_prefilter_hit();
-                        true
-                    } else {
-                        feas.check_stack()
-                    };
-                    if !ok {
-                        feas.truncate(m);
-                        continue;
-                    }
-                    self.classify_data(
-                        saeg,
-                        preds,
-                        feas,
-                        br.block,
-                        t,
-                        access,
-                        access_transient,
-                        SpeculationPrimitive::ConditionalBranch,
-                        None,
-                        steer,
-                        out,
-                    );
-                    feas.truncate(m);
-                }
-                // --- extension: speculative-interference DT (§6.1's
-                // "new attack variant"): the transient t warms the
-                // line of a committed same-address load, whose
-                // hit/miss then reveals t's (secret-derived) address.
-                if self.config.detect_interference {
-                    self.interference_findings(saeg, preds, feas, br.block, t, pf, out);
-                }
-                // --- control chains: access -ctrl-> t ---
-                for &access in &preds.ctrl[t.0] {
-                    if access == t || !self.within_window(saeg, access, t) {
-                        continue;
-                    }
-                    let access_transient = in_win[access.0];
-                    let m = feas.mark();
-                    if !access_transient {
-                        let l = feas.arch_lit(saeg.events[access.0].block);
-                        feas.push(l);
-                    }
-                    let ok = if pf && access_transient {
-                        feas.note_prefilter_hit();
-                        true
-                    } else {
-                        feas.check_stack()
-                    };
-                    if !ok {
-                        feas.truncate(m);
-                        continue;
-                    }
-                    self.classify_ctrl(
-                        saeg,
-                        preds,
-                        feas,
-                        br.block,
-                        t,
-                        access,
-                        access_transient,
-                        SpeculationPrimitive::ConditionalBranch,
-                        None,
-                        steer,
-                        out,
-                    );
-                    feas.truncate(m);
-                }
-            }
-            for &e in &window {
-                in_win[e.0] = false;
-            }
+        // Architectural direction is the opposite of the mispredicted
+        // fetch direction.
+        let arch_dir = if mispredict_then { !dec } else { dec };
+        let base = feas.mark();
+        feas.push(feas.arch_lit(br.block));
+        feas.push(arch_dir);
+        if !feas.check_stack() {
             feas.truncate(base);
+            return;
         }
-    }
-
-    /// STL engine: a load may bypass an older same-address store whose
-    /// address has not resolved (§3.3), forwarding stale data into the
-    /// transmitter chain.
-    fn run_stl(
-        &self,
-        saeg: &Saeg,
-        gaddr: &Gaddr,
-        ctrl: &Relation,
-        pf: bool,
-        feas: &mut Feasibility,
-        jobs: usize,
-    ) -> (Vec<Finding>, lcm_aeg::FeasStats) {
-        let loads: Vec<EventId> = saeg.loads().map(|e| e.id).collect();
-        let stores: Vec<EventId> = saeg.stores().map(|e| e.id).collect();
-        if jobs <= 1 || loads.len() <= 1 {
-            let mut out = Vec::new();
-            for &l in &loads {
-                if !feas.governor_ok() {
-                    break;
-                }
-                self.stl_unit(saeg, gaddr, ctrl, &stores, pf, feas, l, &mut out);
-            }
-            return (out, lcm_aeg::FeasStats::default());
+        let window = self.saeg.spec_window(br, mispredict_then);
+        for &e in &window {
+            sc.in_win[e.0] = true;
         }
-        work_units().add(loads.len() as u64);
-        let template: &Feasibility = feas;
-        let results = lcm_core::par::map_indexed_with(
-            &loads,
-            jobs,
-            || template.clone(),
-            |wf, _, &l| {
-                let before = wf.stats();
-                let mut out = Vec::new();
-                if wf.governor_ok() {
-                    self.stl_unit(saeg, gaddr, ctrl, &stores, pf, wf, l, &mut out);
-                }
-                (out, stats_delta(wf.stats(), before))
-            },
-        );
-        merge_units(results)
-    }
-
-    /// One STL work unit: the full bypass + chain search for a single
-    /// load. Starts and ends with an empty assumption stack.
-    #[allow(clippy::too_many_arguments)]
-    fn stl_unit(
-        &self,
-        saeg: &Saeg,
-        gaddr: &Gaddr,
-        ctrl: &Relation,
-        stores: &[EventId],
-        pf: bool,
-        feas: &mut Feasibility,
-        l: EventId,
-        out: &mut Vec<Finding>,
-    ) {
-        {
-            let le = &saeg.events[l.0];
-            // Find a bypassable older store to a may/must-aliasing address.
-            let mut bypassed: Option<EventId> = None;
-            for &s in stores {
-                if s == l || !saeg.precedes(s, l) {
-                    continue;
-                }
-                let se = &saeg.events[s.0];
-                if saeg.events[l.0].pos - se.pos > self.config.spec.lsq_size {
-                    continue;
-                }
-                let a = match (se.addr, le.addr) {
-                    (Some(x), Some(y)) => alias(x, y),
-                    _ => AliasResult::May, // havoc side
-                };
-                if a == AliasResult::No {
-                    continue;
-                }
-                if saeg.always_fenced_between(s, l) {
-                    continue;
-                }
-                bypassed = Some(s);
+        for &t in &window {
+            if !feas.governor_ok() {
                 break;
             }
-            let Some(s) = bypassed else { return };
-            let base = feas.mark();
-            let s_blk = saeg.events[s.0].block;
-            let l_blk = saeg.events[l.0].block;
-            feas.push(feas.arch_lit(s_blk));
-            feas.push(feas.arch_lit(l_blk));
-            if !feas.check_stack() {
-                feas.truncate(base);
-                return;
+            if self.saeg.events[t.0].kind == EventKind::Fence {
+                continue;
             }
-            // Stale value of l flows to transmitters. The stale read is a
-            // transient access (its value is squashed on re-execution).
-            for t in gaddr.plain.successors(l.0).map(EventId) {
-                if t == l || !self.within_window(saeg, l, t) || !saeg.precedes(l, t) {
-                    continue;
-                }
-                let m = feas.mark();
-                let t_blk = saeg.events[t.0].block;
-                feas.push(feas.arch_lit(t_blk));
-                // A block already on the verified stack adds nothing:
-                // the check's answer is the previous one, already true.
-                let ok = if pf && (t_blk == s_blk || t_blk == l_blk) {
-                    feas.note_prefilter_hit();
-                    true
-                } else {
-                    feas.check_stack()
-                };
-                if !ok {
-                    feas.truncate(m);
-                    continue;
-                }
-                // DT: t leaks l's stale data directly.
-                out.push(self.finding(
-                    saeg,
-                    feas,
-                    t,
-                    TransmitterClass::Data,
-                    true,
-                    Some(l),
-                    true,
-                    None,
-                    SpeculationPrimitive::StoreForwarding,
-                    None,
-                    Some(s),
-                ));
-                // UDT: l -> access(t') -> transmit(t''): here t is the
-                // access whose address carries stale data; its value
-                // steers a further transmitter.
-                for t2 in gaddr.plain.successors(t.0).map(EventId) {
-                    if t2 == t || !self.within_window(saeg, t, t2) || !saeg.precedes(t, t2) {
-                        continue;
-                    }
-                    let m2 = feas.mark();
-                    let t2_blk = saeg.events[t2.0].block;
-                    feas.push(feas.arch_lit(t2_blk));
-                    let ok = if pf && (t2_blk == s_blk || t2_blk == l_blk || t2_blk == t_blk) {
-                        feas.note_prefilter_hit();
-                        true
-                    } else {
-                        feas.check_stack()
-                    };
-                    if !ok {
-                        feas.truncate(m2);
-                        continue;
-                    }
-                    out.push(self.finding(
-                        saeg,
-                        feas,
-                        t2,
-                        TransmitterClass::UniversalData,
-                        true,
-                        Some(t),
-                        true,
-                        Some(l),
-                        SpeculationPrimitive::StoreForwarding,
-                        None,
-                        Some(s),
-                    ));
-                    feas.truncate(m2);
-                }
-                // UCT: t's value steers a branch shadowing a transmitter.
-                for t2 in ctrl.successors(t.0).map(EventId) {
-                    if t2 == t || !self.within_window(saeg, t, t2) {
-                        continue;
-                    }
-                    let m2 = feas.mark();
-                    let t2_blk = saeg.events[t2.0].block;
-                    feas.push(feas.arch_lit(t2_blk));
-                    let ok = if pf && (t2_blk == s_blk || t2_blk == l_blk || t2_blk == t_blk) {
-                        feas.note_prefilter_hit();
-                        true
-                    } else {
-                        feas.check_stack()
-                    };
-                    if !ok {
-                        feas.truncate(m2);
-                        continue;
-                    }
-                    out.push(self.finding(
-                        saeg,
-                        feas,
-                        t2,
-                        TransmitterClass::UniversalControl,
-                        false,
-                        Some(t),
-                        true,
-                        Some(l),
-                        SpeculationPrimitive::StoreForwarding,
-                        None,
-                        Some(s),
-                    ));
-                    feas.truncate(m2);
-                }
-                feas.truncate(m);
+            self.pht_chains(feas, sc, br.block, t, TransmitterClass::Data);
+            // Extension: speculative-interference DT (§6.1's "new
+            // attack variant").
+            if self.config.detect_interference {
+                self.interference(feas, sc, br.block, t);
             }
-            // CT: the stale value feeds a branch condition whose shadow
-            // contains a transmitter.
-            for t in ctrl.successors(l.0).map(EventId) {
-                if t == l || !self.within_window(saeg, l, t) {
-                    continue;
-                }
-                let m = feas.mark();
-                let t_blk = saeg.events[t.0].block;
-                feas.push(feas.arch_lit(t_blk));
-                let ok = if pf && (t_blk == s_blk || t_blk == l_blk) {
-                    feas.note_prefilter_hit();
-                    true
-                } else {
-                    feas.check_stack()
-                };
-                if !ok {
-                    feas.truncate(m);
-                    continue;
-                }
-                out.push(self.finding(
-                    saeg,
-                    feas,
-                    t,
-                    TransmitterClass::Control,
-                    false,
-                    Some(l),
-                    true,
-                    None,
-                    SpeculationPrimitive::StoreForwarding,
-                    None,
-                    Some(s),
-                ));
-                feas.truncate(m);
+            self.pht_chains(feas, sc, br.block, t, TransmitterClass::Control);
+        }
+        for &e in &window {
+            sc.in_win[e.0] = false;
+        }
+        feas.truncate(base);
+    }
+
+    /// The PHT chains `access -dep-> t` into transmitter `t` along one
+    /// dependency: `addr` for `Data` chains, `ctrl` for `Control` ones.
+    /// Each feasible chain goes to [`Self::classify`].
+    fn pht_chains(
+        &self,
+        feas: &mut Feasibility,
+        sc: &mut Scratch,
+        branch: BlockId,
+        t: EventId,
+        chain: TransmitterClass,
+    ) {
+        let data = chain == TransmitterClass::Data;
+        let accesses = if data {
+            &self.preds.gaddr[t.0]
+        } else {
+            &self.preds.ctrl[t.0]
+        };
+        for &access in accesses {
+            if access == t || !self.within_window(access, t) {
+                continue;
             }
-            feas.truncate(base);
+            let transient = sc.in_win[access.0];
+            if data && !transient && !self.saeg.precedes(access, t) {
+                continue;
+            }
+            // A transient access adds nothing to the stack: the answer
+            // is the base query's, already true.
+            let block = self.saeg.events[access.0].block;
+            let blocks: &[BlockId] = if transient { &[] } else { &[block] };
+            let Some(m) = self.check(feas, blocks, transient) else {
+                continue;
+            };
+            self.classify(feas, sc, branch, t, access, chain);
+            feas.truncate(m);
+        }
+    }
+
+    /// Emits the finding for a PHT chain of kind `chain` (`Data` or
+    /// `Control`) and, if an index steers the access, its universal
+    /// upgrade. The chain's feasibility requirements are the current
+    /// assumption stack.
+    fn classify(
+        &self,
+        feas: &Feasibility,
+        sc: &mut Scratch,
+        branch: BlockId,
+        t: EventId,
+        access: EventId,
+        chain: TransmitterClass,
+    ) {
+        let o = Origin::Branch(branch);
+        let access_transient = sc.in_win[access.0];
+        sc.out.push(Finding {
+            access_transient,
+            ..self.finding(feas, o, t, chain, access, None)
+        });
+        // Universal upgrade: an index steers the access.
+        let index_rel = if self.config.gep_filter {
+            &self.preds.gep
+        } else {
+            &self.preds.gaddr
+        };
+        let steerable = sc.steer.steerable(self.saeg, access);
+        if steerable && (!self.config.universal_needs_transient_access || access_transient) {
+            let universal = if chain == TransmitterClass::Data {
+                TransmitterClass::UniversalData
+            } else {
+                TransmitterClass::UniversalControl
+            };
+            for &index in &index_rel[access.0] {
+                if index == access || !self.within_window(index, t) {
+                    continue;
+                }
+                sc.out.push(Finding {
+                    access_transient,
+                    ..self.finding(feas, o, t, universal, access, Some(index))
+                });
+            }
         }
     }
 
@@ -1051,19 +854,12 @@ impl Detector {
     /// receiver). Emitted as DTs when `t`'s address carries data.
     /// Assumes the PHT base requirements (branch + architectural
     /// direction) are already on `feas`'s assumption stack.
-    fn interference_findings(
-        &self,
-        saeg: &Saeg,
-        preds: &DepPreds,
-        feas: &mut Feasibility,
-        branch: lcm_ir::BlockId,
-        t: EventId,
-        pf: bool,
-        out: &mut Vec<Finding>,
-    ) {
-        let te = &saeg.events[t.0];
-        let Some(t_addr) = te.addr else { return };
-        for e in saeg.loads() {
+    fn interference(&self, feas: &mut Feasibility, sc: &mut Scratch, branch: BlockId, t: EventId) {
+        let Some(t_addr) = self.saeg.events[t.0].addr else {
+            return;
+        };
+        let o = Origin::Branch(branch);
+        for e in self.saeg.loads() {
             if e.id == t {
                 continue;
             }
@@ -1071,346 +867,163 @@ impl Detector {
             if alias(t_addr, e_addr) == AliasResult::No {
                 continue;
             }
-            let m = feas.mark();
-            feas.push(feas.arch_lit(e.block));
-            let ok = if pf && e.block == branch {
-                feas.note_prefilter_hit();
-                true
-            } else {
-                feas.check_stack()
-            };
-            if !ok {
-                feas.truncate(m);
+            let Some(m) = self.check(feas, &[e.block], e.block == branch) else {
                 continue;
-            }
-            for &access in &preds.gaddr[t.0] {
+            };
+            for &access in &self.preds.gaddr[t.0] {
                 if access == t {
                     continue;
                 }
-                let mut f = self.finding(
-                    saeg,
-                    feas,
-                    t,
-                    TransmitterClass::Data,
-                    true,
-                    Some(access),
-                    true,
-                    None,
-                    SpeculationPrimitive::ConditionalBranch,
-                    Some(branch),
-                    None,
-                );
-                f.interference = true;
-                out.push(f);
+                sc.out.push(Finding {
+                    interference: true,
+                    ..self.finding(feas, o, t, TransmitterClass::Data, access, None)
+                });
             }
             feas.truncate(m);
         }
     }
 
-    /// PSF engine (extension): alias prediction forwards an older store's
-    /// data to a load of a **mismatching** address (Fig. 4b). Any older
-    /// in-LSQ store is a forwarding candidate — including ones the alias
-    /// oracle proves distinct, which is exactly what distinguishes PSF
-    /// from ordinary store forwarding.
-    fn run_psf(
-        &self,
-        saeg: &Saeg,
-        gaddr: &Gaddr,
-        pf: bool,
-        feas: &mut Feasibility,
-        jobs: usize,
-    ) -> (Vec<Finding>, lcm_aeg::FeasStats) {
-        let loads: Vec<EventId> = saeg.loads().map(|e| e.id).collect();
-        let stores: Vec<EventId> = saeg.stores().map(|e| e.id).collect();
-        if jobs <= 1 || loads.len() <= 1 {
-            let mut out = Vec::new();
-            for &l in &loads {
-                if !feas.governor_ok() {
-                    break;
-                }
-                self.psf_unit(saeg, gaddr, &stores, pf, feas, l, &mut out);
+    /// Store-forwarding unit for load `l`: an older in-LSQ store `s`
+    /// forwards into `l`. STL (Spectre v4, §3.3) bypasses the first older
+    /// store whose address may alias `l`'s and has not resolved, so `l`
+    /// reads stale data. PSF (extension, Fig. 4b) mispredicts an alias
+    /// and forwards from every older store the alias oracle proves
+    /// *distinct* — exactly the pairs STL excludes.
+    fn forward_unit(&self, feas: &mut Feasibility, sc: &mut Scratch, l: EventId) {
+        let psf = self.kind == EngineKind::Psf;
+        let le = &self.saeg.events[l.0];
+        for &s in &self.stores {
+            if s == l || !self.saeg.precedes(s, l) {
+                continue;
             }
-            return (out, lcm_aeg::FeasStats::default());
+            let se = &self.saeg.events[s.0];
+            if le.pos - se.pos > self.config.spec.lsq_size {
+                continue;
+            }
+            let a = match (se.addr, le.addr) {
+                (Some(x), Some(y)) => alias(x, y),
+                _ => AliasResult::May, // havoc side
+            };
+            if (a == AliasResult::No) != psf || self.saeg.always_fenced_between(s, l) {
+                continue;
+            }
+            self.forward(feas, sc, s, l);
+            if !psf {
+                break;
+            }
         }
-        work_units().add(loads.len() as u64);
-        let template: &Feasibility = feas;
-        let results = lcm_core::par::map_indexed_with(
-            &loads,
-            jobs,
-            || template.clone(),
-            |wf, _, &l| {
-                let before = wf.stats();
-                let mut out = Vec::new();
-                if wf.governor_ok() {
-                    self.psf_unit(saeg, gaddr, &stores, pf, wf, l, &mut out);
-                }
-                (out, stats_delta(wf.stats(), before))
-            },
-        );
-        merge_units(results)
     }
 
-    /// One PSF work unit: all mismatching-address forwarding candidates
-    /// for a single load. Starts and ends with an empty assumption
-    /// stack.
-    #[allow(clippy::too_many_arguments)]
-    fn psf_unit(
-        &self,
-        saeg: &Saeg,
-        gaddr: &Gaddr,
-        stores: &[EventId],
-        pf: bool,
-        feas: &mut Feasibility,
-        l: EventId,
-        out: &mut Vec<Finding>,
-    ) {
-        {
-            for &s in stores {
-                if s == l || !saeg.precedes(s, l) {
+    /// The chains a forward from `s` into `l` feeds. `l`'s value — stale
+    /// (STL) or the mismatching store's data (PSF) — is a transient read
+    /// (squashed on re-execution) that flows into transmitters.
+    fn forward(&self, feas: &mut Feasibility, sc: &mut Scratch, s: EventId, l: EventId) {
+        let saeg = self.saeg;
+        let (s_blk, l_blk) = (saeg.events[s.0].block, saeg.events[l.0].block);
+        let Some(base) = self.check(feas, &[s_blk, l_blk], false) else {
+            return;
+        };
+        let o = Origin::Store(s);
+        let stl = self.kind == EngineKind::Stl;
+        for t in self.gaddr.plain.successors(l.0).map(EventId) {
+            if t == l || !self.within_window(l, t) || !saeg.precedes(l, t) {
+                continue;
+            }
+            // A block already on the verified stack adds nothing.
+            let t_blk = saeg.events[t.0].block;
+            let Some(m) = self.check(feas, &[t_blk], t_blk == s_blk || t_blk == l_blk) else {
+                continue;
+            };
+            // DT: t leaks l's value directly.
+            sc.out
+                .push(self.finding(feas, o, t, TransmitterClass::Data, l, None));
+            // UDT: t is an access whose address carries l's value; its
+            // value steers a further transmitter.
+            for t2 in self.gaddr.plain.successors(t.0).map(EventId) {
+                if t2 == t || !self.within_window(t, t2) || !saeg.precedes(t, t2) {
                     continue;
                 }
-                let se = &saeg.events[s.0];
-                if saeg.events[l.0].pos - se.pos > self.config.spec.lsq_size {
+                let b = saeg.events[t2.0].block;
+                let Some(m2) = self.check(feas, &[b], b == s_blk || b == l_blk || b == t_blk)
+                else {
                     continue;
-                }
-                // The interesting PSF pairs are the ones ordinary STL
-                // excludes: provably different addresses.
-                let a = match (se.addr, saeg.events[l.0].addr) {
-                    (Some(x), Some(y)) => alias(x, y),
-                    _ => AliasResult::May,
                 };
-                if a != AliasResult::No {
-                    continue; // covered by the STL engine
-                }
-                if saeg.always_fenced_between(s, l) {
-                    continue;
-                }
-                let base = feas.mark();
-                let s_blk = se.block;
-                let l_blk = saeg.events[l.0].block;
-                feas.push(feas.arch_lit(s_blk));
-                feas.push(feas.arch_lit(l_blk));
-                if !feas.check_stack() {
-                    feas.truncate(base);
-                    continue;
-                }
-                // The mispredicted forward gives l the *store's data*; any
-                // transmitter whose address chains from l leaks it.
-                for t in gaddr.plain.successors(l.0).map(EventId) {
-                    if t == l || !self.within_window(saeg, l, t) || !saeg.precedes(l, t) {
+                let class = TransmitterClass::UniversalData;
+                sc.out.push(self.finding(feas, o, t2, class, t, Some(l)));
+                feas.truncate(m2);
+            }
+            // UCT (STL): t's value steers a branch shadowing a
+            // transmitter.
+            if stl {
+                for t2 in self.ctrl.successors(t.0).map(EventId) {
+                    if t2 == t || !self.within_window(t, t2) {
                         continue;
                     }
-                    let m = feas.mark();
-                    let t_blk = saeg.events[t.0].block;
-                    feas.push(feas.arch_lit(t_blk));
-                    let ok = if pf && (t_blk == s_blk || t_blk == l_blk) {
-                        feas.note_prefilter_hit();
-                        true
-                    } else {
-                        feas.check_stack()
+                    let b = saeg.events[t2.0].block;
+                    let Some(m2) = self.check(feas, &[b], b == s_blk || b == l_blk || b == t_blk)
+                    else {
+                        continue;
                     };
-                    if !ok {
-                        feas.truncate(m);
-                        continue;
-                    }
-                    out.push(self.finding(
-                        saeg,
-                        feas,
-                        t,
-                        TransmitterClass::Data,
-                        true,
-                        Some(l),
-                        true,
-                        None,
-                        SpeculationPrimitive::AliasPrediction,
-                        None,
-                        Some(s),
-                    ));
-                    for t2 in gaddr.plain.successors(t.0).map(EventId) {
-                        if t2 == t || !self.within_window(saeg, t, t2) || !saeg.precedes(t, t2) {
-                            continue;
-                        }
-                        let m2 = feas.mark();
-                        let t2_blk = saeg.events[t2.0].block;
-                        feas.push(feas.arch_lit(t2_blk));
-                        let ok = if pf && (t2_blk == s_blk || t2_blk == l_blk || t2_blk == t_blk) {
-                            feas.note_prefilter_hit();
-                            true
-                        } else {
-                            feas.check_stack()
-                        };
-                        if !ok {
-                            feas.truncate(m2);
-                            continue;
-                        }
-                        out.push(self.finding(
-                            saeg,
-                            feas,
-                            t2,
-                            TransmitterClass::UniversalData,
-                            true,
-                            Some(t),
-                            true,
-                            Some(l),
-                            SpeculationPrimitive::AliasPrediction,
-                            None,
-                            Some(s),
-                        ));
-                        feas.truncate(m2);
-                    }
-                    feas.truncate(m);
+                    let class = TransmitterClass::UniversalControl;
+                    sc.out.push(Finding {
+                        transient_transmitter: false,
+                        ..self.finding(feas, o, t2, class, t, Some(l))
+                    });
+                    feas.truncate(m2);
                 }
-                feas.truncate(base);
             }
+            feas.truncate(m);
         }
-    }
-
-    /// Emits DT and (if steerable) UDT findings for a data chain. The
-    /// chain's feasibility requirements are the current assumption stack.
-    #[allow(clippy::too_many_arguments)]
-    fn classify_data(
-        &self,
-        saeg: &Saeg,
-        preds: &DepPreds,
-        feas: &mut Feasibility,
-        branch: lcm_ir::BlockId,
-        t: EventId,
-        access: EventId,
-        access_transient: bool,
-        primitive: SpeculationPrimitive,
-        bypassed: Option<EventId>,
-        steer: &mut SteerCache,
-        out: &mut Vec<Finding>,
-    ) {
-        out.push(self.finding(
-            saeg,
-            feas,
-            t,
-            TransmitterClass::Data,
-            true,
-            Some(access),
-            access_transient,
-            None,
-            primitive,
-            Some(branch),
-            bypassed,
-        ));
-        // Universal upgrade: an index steers the access.
-        let index_rel = if self.config.gep_filter {
-            &preds.gep
-        } else {
-            &preds.gaddr
-        };
-        let steerable = steer.steerable(saeg, access);
-        if steerable && (!self.config.universal_needs_transient_access || access_transient) {
-            for &index in &index_rel[access.0] {
-                if index == access || !self.within_window(saeg, index, t) {
+        // CT (STL): l's value feeds a branch condition whose shadow
+        // contains a transmitter.
+        if stl {
+            for t in self.ctrl.successors(l.0).map(EventId) {
+                if t == l || !self.within_window(l, t) {
                     continue;
                 }
-                out.push(self.finding(
-                    saeg,
-                    feas,
-                    t,
-                    TransmitterClass::UniversalData,
-                    true,
-                    Some(access),
-                    access_transient,
-                    Some(index),
-                    primitive,
-                    Some(branch),
-                    bypassed,
-                ));
-            }
-        }
-    }
-
-    /// Emits CT and (if steerable) UCT findings for a control chain. The
-    /// chain's feasibility requirements are the current assumption stack.
-    #[allow(clippy::too_many_arguments)]
-    fn classify_ctrl(
-        &self,
-        saeg: &Saeg,
-        preds: &DepPreds,
-        feas: &mut Feasibility,
-        branch: lcm_ir::BlockId,
-        t: EventId,
-        access: EventId,
-        access_transient: bool,
-        primitive: SpeculationPrimitive,
-        bypassed: Option<EventId>,
-        steer: &mut SteerCache,
-        out: &mut Vec<Finding>,
-    ) {
-        out.push(self.finding(
-            saeg,
-            feas,
-            t,
-            TransmitterClass::Control,
-            true,
-            Some(access),
-            access_transient,
-            None,
-            primitive,
-            Some(branch),
-            bypassed,
-        ));
-        let index_rel = if self.config.gep_filter {
-            &preds.gep
-        } else {
-            &preds.gaddr
-        };
-        let steerable = steer.steerable(saeg, access);
-        if steerable && (!self.config.universal_needs_transient_access || access_transient) {
-            for &index in &index_rel[access.0] {
-                if index == access || !self.within_window(saeg, index, t) {
+                let t_blk = saeg.events[t.0].block;
+                let Some(m) = self.check(feas, &[t_blk], t_blk == s_blk || t_blk == l_blk) else {
                     continue;
-                }
-                out.push(self.finding(
-                    saeg,
-                    feas,
-                    t,
-                    TransmitterClass::UniversalControl,
-                    true,
-                    Some(access),
-                    access_transient,
-                    Some(index),
-                    primitive,
-                    Some(branch),
-                    bypassed,
-                ));
+                };
+                sc.out.push(Finding {
+                    transient_transmitter: false,
+                    ..self.finding(feas, o, t, TransmitterClass::Control, l, None)
+                });
+                feas.truncate(m);
             }
         }
+        feas.truncate(base);
     }
 
-    /// Builds one finding; the witness seed is read off the current
-    /// assumption stack — no solver call. The full path is materialized
-    /// lazily by [`Finding::witness_path`] when a witness is rendered.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds one finding with a transient transmitter and a transient
+    /// access (callers override the exceptions); the witness seed is
+    /// read off the current assumption stack — no solver call. The full
+    /// path is materialized lazily by [`Finding::witness_path`] when a
+    /// witness is rendered.
     fn finding(
         &self,
-        saeg: &Saeg,
-        feas: &mut Feasibility,
+        feas: &Feasibility,
+        o: Origin,
         t: EventId,
         class: TransmitterClass,
-        transient_transmitter: bool,
-        access: Option<EventId>,
-        access_transient: bool,
+        access: EventId,
         index: Option<EventId>,
-        primitive: SpeculationPrimitive,
-        branch: Option<lcm_ir::BlockId>,
-        bypassed_store: Option<EventId>,
     ) -> Finding {
+        let (branch, bypassed_store) = match o {
+            Origin::Branch(b) => (Some(b), None),
+            Origin::Store(s) => (None, Some(s)),
+        };
         let seed = feas.stack_seed();
         Finding {
-            function: saeg.fname.clone(),
+            function: self.saeg.fname.clone(),
             transmitter: t,
-            transmitter_inst: saeg.events[t.0].inst,
+            transmitter_inst: self.saeg.events[t.0].inst,
             class,
-            transient_transmitter,
-            access,
-            access_transient,
+            transient_transmitter: true,
+            access: Some(access),
+            access_transient: true,
             index,
-            primitive,
+            primitive: self.primitive,
             branch,
             bypassed_store,
             interference: false,

@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use lcm_ir::{BinOp, Function, Inst, InstId, Module, Terminator};
+use lcm_ir::{Function, Inst, InstId, Module, Terminator};
 
 /// The speculation primitive a choice point (and hence a leak) belongs
 /// to; aligned with the three engines.
@@ -590,9 +590,6 @@ pub fn analyze_first_public(module: &Module, cfg: OracleConfig) -> OracleReport 
         None => OracleReport::default(),
     }
 }
-
-// Keep the unused-import lint honest: BinOp is used via `op.eval`.
-const _: fn(BinOp, i64, i64) -> i64 = BinOp::eval;
 
 #[cfg(test)]
 mod tests {
