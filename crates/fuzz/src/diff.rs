@@ -8,7 +8,9 @@
 //! primitive P, on which engine P reports clean, is a **mismatch** — it
 //! would be a missed Spectre leak. Mismatches are shrunk to 1-minimal
 //! reproducers and surfaced as minic source ready to be folded into
-//! `crates/corpus`.
+//! `crates/corpus`. An engine run that degraded (a tripped budget, an
+//! injected fault) with no finding proves nothing either way: it is
+//! *inconclusive*, never a mismatch.
 
 use lcm_detect::{repair_all, Detector, DetectorConfig, EngineKind};
 use lcm_ir::{Inst, Module};
@@ -85,13 +87,17 @@ pub struct Eval {
     pub program: Program,
     /// Oracle verdict.
     pub oracle: OracleReport,
-    /// Engine cleanliness, in [`PRIMITIVES`] order.
+    /// Engine cleanliness, in [`PRIMITIVES`] order. An inconclusive run
+    /// counts as clean: it flagged nothing.
     pub engine_clean: [bool; 3],
     /// Engines that missed an oracle-witnessed leak.
     pub mismatched: Vec<EngineKind>,
     /// Engine findings the oracle could not witness (expected
     /// over-approximation).
     pub overapprox: u32,
+    /// Engine runs that degraded with no finding: neither a mismatch nor
+    /// over-approximation.
+    pub inconclusive: u32,
 }
 
 /// Fence-minimality certificate for one repaired module.
@@ -128,6 +134,8 @@ pub struct SweepReport {
     pub engine_flagged: [usize; 3],
     /// Total engine-finds-oracle-silent cases (expected direction).
     pub overapprox: u64,
+    /// Total engine runs that degraded with no finding.
+    pub inconclusive: u64,
     /// Soundness-direction disagreements (must be empty).
     pub mismatches: Vec<Mismatch>,
     /// Engine-flagged programs put through `repair_all`.
@@ -171,6 +179,14 @@ fn fuzz_mismatches_counter() -> &'static lcm_obs::metrics::Counter {
     })
 }
 
+/// Whether `engine` finds `module` clean; `None` when its run degraded
+/// with no finding, which proves nothing either way.
+fn engine_verdict(det: &Detector, module: &Module, engine: EngineKind) -> Option<bool> {
+    let report = det.analyze_module(module, engine);
+    let clean = report.is_clean();
+    (!clean || report.all_completed()).then_some(clean)
+}
+
 /// Evaluates one program against oracle and all three engines.
 pub fn evaluate(program: &Program, det: &Detector, ocfg: OracleConfig) -> Option<Eval> {
     let module = program.compile().ok()?;
@@ -178,11 +194,14 @@ pub fn evaluate(program: &Program, det: &Detector, ocfg: OracleConfig) -> Option
     let mut engine_clean = [true; 3];
     let mut mismatched = Vec::new();
     let mut overapprox = 0;
+    let mut inconclusive = 0;
     for (i, (kind, engine)) in PRIMITIVES.iter().enumerate() {
-        engine_clean[i] = det.analyze_module(&module, *engine).is_clean();
-        match (oracle.leaks(*kind), engine_clean[i]) {
-            (true, true) => mismatched.push(*engine),
-            (false, false) => overapprox += 1,
+        let verdict = engine_verdict(det, &module, *engine);
+        engine_clean[i] = verdict != Some(false);
+        match (oracle.leaks(*kind), verdict) {
+            (_, None) => inconclusive += 1,
+            (true, Some(true)) => mismatched.push(*engine),
+            (false, Some(false)) => overapprox += 1,
             _ => {}
         }
     }
@@ -192,6 +211,7 @@ pub fn evaluate(program: &Program, det: &Detector, ocfg: OracleConfig) -> Option
         engine_clean,
         mismatched,
         overapprox,
+        inconclusive,
     })
 }
 
@@ -208,7 +228,7 @@ fn still_mismatching(p: &Program, det: &Detector, ocfg: OracleConfig, kind: Leak
         .map(|(_, e)| *e)
         .unwrap_or(EngineKind::Pht);
     oracle::analyze(&module, "victim", ocfg).leaks(kind)
-        && det.analyze_module(&module, engine).is_clean()
+        && engine_verdict(det, &module, engine) == Some(true)
 }
 
 /// Every fence site in a module: `(function, block, position)`.
@@ -336,6 +356,7 @@ pub fn run_sweep(cfg: &FuzzConfig) -> SweepReport {
             report.secure += 1;
         }
         report.overapprox += u64::from(eval.overapprox);
+        report.inconclusive += u64::from(eval.inconclusive);
         let mut flagged = false;
         for (j, clean) in eval.engine_clean.iter().enumerate() {
             if !clean {
@@ -419,6 +440,33 @@ mod tests {
                 p.source()
             );
         }
+    }
+
+    #[test]
+    fn degraded_engine_run_is_inconclusive_not_a_mismatch() {
+        use crate::gen::{Arr, Expr, Stmt};
+        use lcm_core::fault::{site, FaultPlan};
+        // fz-pht: `if (x < guard) { temp &= pub_b[(pub_a[x]) * 64]; }`.
+        let pht = Program {
+            seed: 0,
+            index: 0,
+            stmts: vec![Stmt::GuardedIf {
+                lhs: Expr::Param(0),
+                body: vec![Stmt::Transmit {
+                    idx: Expr::Load(Arr::PubA, Box::new(Expr::Param(0))),
+                    scale: 64,
+                }],
+            }],
+        };
+        let timeout = Detector::new(DetectorConfig {
+            faults: FaultPlan::default().arm(site::TIMEOUT, None),
+            ..DetectorConfig::default()
+        });
+        let e = evaluate(&pht, &timeout, OracleConfig::quick()).expect("compiles");
+        assert!(e.oracle.leaks(LeakKind::Pht), "{e:?}");
+        assert!(e.mismatched.is_empty(), "{e:?}");
+        assert_eq!((e.inconclusive, e.overapprox), (3, 0), "{e:?}");
+        assert_eq!(e.engine_clean, [true; 3], "{e:?}");
     }
 
     #[test]

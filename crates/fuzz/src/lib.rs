@@ -8,8 +8,9 @@
 //!
 //! * [`gen`] — a deterministic, seed-keyed random program generator over
 //!   a speculation-gadget grammar, rendered as minic source;
-//! * [`oracle`] — a bounded-exhaustive speculative reference interpreter
-//!   deciding two-run secret non-interference concretely;
+//! * [`oracle`] — a bounded-exhaustive speculative oracle deciding
+//!   two-run secret non-interference concretely, run as a speculation
+//!   hook on the one IR interpreter (`lcm_ir::interp`);
 //! * [`shrink`] — a greedy AST minimizer for failing programs;
 //! * [`diff`] — the harness: engine-vs-oracle cross-checking, `repair()`
 //!   re-verification, and a SAT-backed fence-minimality certificate.

@@ -1,8 +1,11 @@
-//! A reference interpreter for the IR.
+//! The one interpreter for the IR.
 //!
 //! Used to validate that A-CFG construction (unrolling, inlining)
-//! preserves straight-line semantics, and by the corpus crate to sanity-
-//! check benchmark programs. Not part of the leakage analysis itself.
+//! preserves straight-line semantics, by the corpus crate to sanity-check
+//! benchmark programs, and by `lcm_aeg::trace` for dynamic LCM analysis.
+//! The speculative oracle of `lcm-fuzz` runs on it too: its speculative
+//! semantics is a [`Hook`] that redirects loads and branches and records
+//! what an attacker observes. Not part of the static leakage analysis.
 
 use std::collections::HashMap;
 
@@ -58,6 +61,123 @@ pub struct TraceEvent {
     pub value: i64,
 }
 
+/// A hook's request to end the run at once, across every frame (see
+/// [`Machine::call_hooked`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Halt;
+
+/// Observes and steers a run of [`Machine::call_hooked`].
+///
+/// `func` is the executing function's index in [`Module::functions`] and
+/// `inst` the executing instruction (for a branch, its condition value).
+/// Every method may end the run by returning [`Halt`]. The defaults
+/// observe nothing and change nothing.
+pub trait Hook {
+    /// Runs before each scheduled instruction, after its fuel is charged.
+    fn step(&mut self) -> Result<(), Halt> {
+        Ok(())
+    }
+
+    /// A load of `value` from `addr`; returns the value the load yields.
+    fn load(&mut self, _func: u32, _inst: InstId, _addr: i64, value: i64) -> Result<i64, Halt> {
+        Ok(value)
+    }
+
+    /// A store of `value` to `addr`, which held `old`; runs after memory
+    /// is written.
+    fn store(
+        &mut self,
+        _func: u32,
+        _inst: InstId,
+        _addr: i64,
+        _value: i64,
+        _old: i64,
+    ) -> Result<(), Halt> {
+        Ok(())
+    }
+
+    /// A fence.
+    fn fence(&mut self) -> Result<(), Halt> {
+        Ok(())
+    }
+
+    /// A conditional branch on `cond`; returns whether it is taken.
+    fn branch(&mut self, _func: u32, _inst: InstId, cond: i64) -> Result<bool, Halt> {
+        Ok(cond != 0)
+    }
+}
+
+/// The hook of [`Machine::call`].
+struct NoHook;
+
+impl Hook for NoHook {}
+
+/// The hook of [`Machine::call_traced`]: records every memory access and
+/// branch decision in execution order.
+struct Tracer(Vec<TraceEvent>);
+
+impl Tracer {
+    fn push(&mut self, func: u32, inst: InstId, is_store: bool, addr: i64, value: i64) {
+        self.0.push(TraceEvent {
+            func,
+            inst,
+            is_store,
+            is_branch: false,
+            addr,
+            value,
+        });
+    }
+}
+
+impl Hook for Tracer {
+    fn load(&mut self, func: u32, inst: InstId, addr: i64, value: i64) -> Result<i64, Halt> {
+        self.push(func, inst, false, addr, value);
+        Ok(value)
+    }
+
+    fn store(
+        &mut self,
+        func: u32,
+        inst: InstId,
+        addr: i64,
+        value: i64,
+        _old: i64,
+    ) -> Result<(), Halt> {
+        self.push(func, inst, true, addr, value);
+        Ok(())
+    }
+
+    fn branch(&mut self, func: u32, inst: InstId, cond: i64) -> Result<bool, Halt> {
+        self.0.push(TraceEvent {
+            func,
+            inst,
+            is_store: false,
+            is_branch: true,
+            addr: i64::from(cond != 0),
+            value: cond,
+        });
+        Ok(cond != 0)
+    }
+}
+
+/// Why a run stopped short of its outermost `ret`.
+enum Stop {
+    Halt,
+    Error(InterpError),
+}
+
+impl From<Halt> for Stop {
+    fn from(_: Halt) -> Self {
+        Stop::Halt
+    }
+}
+
+impl From<InterpError> for Stop {
+    fn from(e: InterpError) -> Self {
+        Stop::Error(e)
+    }
+}
+
 /// Abstract machine state: module + memory.
 ///
 /// Addresses are 64-bit: global `g` occupies `[(g+1) << 32, ...)`; each
@@ -69,7 +189,6 @@ pub struct Machine<'m> {
     memory: HashMap<i64, i64>,
     next_alloca: i64,
     fuel: u64,
-    trace: Option<Vec<TraceEvent>>,
 }
 
 const ALLOCA_BASE: i64 = 1 << 48;
@@ -89,7 +208,6 @@ impl<'m> Machine<'m> {
             memory,
             next_alloca: ALLOCA_BASE,
             fuel: 0,
-            trace: None,
         }
     }
 
@@ -132,8 +250,8 @@ impl<'m> Machine<'m> {
         args: &[i64],
         fuel: u64,
     ) -> Result<InterpOutcome, InterpError> {
-        self.fuel = fuel;
-        self.call_inner(fname, args)
+        let outcome = self.call_hooked(fname, args, fuel, &mut NoHook)?;
+        Ok(outcome.expect("the no-op hook never halts"))
     }
 
     /// Like [`Self::call`], additionally recording every memory access in
@@ -149,119 +267,125 @@ impl<'m> Machine<'m> {
         args: &[i64],
         fuel: u64,
     ) -> Result<(InterpOutcome, Vec<TraceEvent>), InterpError> {
-        self.fuel = fuel;
-        self.trace = Some(Vec::new());
-        let outcome = self.call_inner(fname, args);
-        let trace = self.trace.take().unwrap_or_default();
-        outcome.map(|o| (o, trace))
+        let mut tracer = Tracer(Vec::new());
+        let outcome = self.call_hooked(fname, args, fuel, &mut tracer)?;
+        Ok((outcome.expect("the trace hook never halts"), tracer.0))
     }
 
-    fn call_inner(&mut self, fname: &str, args: &[i64]) -> Result<InterpOutcome, InterpError> {
-        let func_idx =
-            self.module
-                .functions
-                .iter()
-                .position(|f| f.name == fname)
-                .ok_or_else(|| InterpError::UnknownFunction(fname.to_string()))? as u32;
-        let f = self.module.functions[func_idx as usize].clone();
+    /// Like [`Self::call`], with `hook` run at every scheduled
+    /// instruction, load, store, fence and conditional branch, in every
+    /// frame. Returns `Ok(None)` when the hook halted the run.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::call`].
+    pub fn call_hooked<H: Hook>(
+        &mut self,
+        fname: &str,
+        args: &[i64],
+        fuel: u64,
+        hook: &mut H,
+    ) -> Result<Option<InterpOutcome>, InterpError> {
+        self.fuel = fuel;
+        match self.call_inner(fname, args, hook) {
+            Ok(outcome) => Ok(Some(outcome)),
+            Err(Stop::Halt) => Ok(None),
+            Err(Stop::Error(e)) => Err(e),
+        }
+    }
+
+    fn call_inner<H: Hook>(
+        &mut self,
+        fname: &str,
+        args: &[i64],
+        hook: &mut H,
+    ) -> Result<InterpOutcome, Stop> {
+        let module = self.module;
+        let func_idx = module
+            .functions
+            .iter()
+            .position(|f| f.name == fname)
+            .ok_or_else(|| InterpError::UnknownFunction(fname.to_string()))?;
+        let f = &module.functions[func_idx];
+        let func_idx = func_idx as u32;
         let mut env: HashMap<u32, i64> = HashMap::new();
         let mut bb = f.entry();
         loop {
-            let insts = f.blocks[bb.0 as usize].insts.clone();
-            for iid in insts {
-                if self.fuel == 0 {
-                    return Err(InterpError::OutOfFuel);
-                }
-                self.fuel -= 1;
-                match f.inst(iid).clone() {
-                    Inst::Alloca { size, .. } => {
+            let block = &f.blocks[bb.0 as usize];
+            for &iid in &block.insts {
+                self.burn()?;
+                hook.step()?;
+                match f.inst(iid) {
+                    &Inst::Alloca { size, .. } => {
                         let addr = self.next_alloca;
                         self.next_alloca += i64::from(size.max(1));
                         env.insert(iid.0, addr);
                     }
-                    Inst::Load { addr, .. } => {
-                        let a = self.eval(&f, addr, args, &mut env)?;
+                    &Inst::Load { addr, .. } => {
+                        let a = self.eval(f, addr, args, &mut env)?;
                         let v = *self.memory.get(&a).unwrap_or(&0);
-                        if let Some(t) = &mut self.trace {
-                            t.push(TraceEvent {
-                                func: func_idx,
-                                inst: iid,
-                                is_store: false,
-                                is_branch: false,
-                                addr: a,
-                                value: v,
-                            });
-                        }
-                        env.insert(iid.0, v);
+                        env.insert(iid.0, hook.load(func_idx, iid, a, v)?);
                     }
-                    Inst::Store { addr, value } => {
-                        let a = self.eval(&f, addr, args, &mut env)?;
-                        let v = self.eval(&f, value, args, &mut env)?;
-                        if let Some(t) = &mut self.trace {
-                            t.push(TraceEvent {
-                                func: func_idx,
-                                inst: iid,
-                                is_store: true,
-                                is_branch: false,
-                                addr: a,
-                                value: v,
-                            });
-                        }
-                        self.memory.insert(a, v);
+                    &Inst::Store { addr, value } => {
+                        let a = self.eval(f, addr, args, &mut env)?;
+                        let v = self.eval(f, value, args, &mut env)?;
+                        let old = self.memory.insert(a, v).unwrap_or(0);
+                        hook.store(func_idx, iid, a, v, old)?;
                     }
                     Inst::Call {
                         callee,
                         args: cargs,
                         ..
                     } => {
-                        let argv: Result<Vec<i64>, _> = cargs
+                        let argv = cargs
                             .iter()
-                            .map(|&a| self.eval(&f, a, args, &mut env))
-                            .collect();
-                        let outcome = self.call_inner(&callee, &argv?)?;
-                        let InterpOutcome::Returned(v) = outcome;
+                            .map(|&a| self.eval(f, a, args, &mut env))
+                            .collect::<Result<Vec<i64>, _>>()?;
+                        let InterpOutcome::Returned(v) = self.call_inner(callee, &argv, hook)?;
                         env.insert(iid.0, v.unwrap_or(0));
                     }
                     Inst::Havoc { callee, .. } => {
-                        return Err(InterpError::UndefinedCall(callee));
+                        return Err(InterpError::UndefinedCall(callee.clone()).into());
                     }
-                    Inst::Fence => {}
+                    Inst::Fence => hook.fence()?,
                     pure => {
                         debug_assert!(!pure.is_scheduled());
-                        let v = self.eval(&f, iid, args, &mut env)?;
+                        let v = self.eval(f, iid, args, &mut env)?;
                         env.insert(iid.0, v);
                     }
                 }
             }
-            match f.blocks[bb.0 as usize].term.clone() {
+            match block.term {
                 Terminator::Br(t) => bb = t,
                 Terminator::CondBr {
                     cond,
                     then_bb,
                     else_bb,
                 } => {
-                    let c = self.eval(&f, cond, args, &mut env)?;
-                    if let Some(t) = &mut self.trace {
-                        t.push(TraceEvent {
-                            func: func_idx,
-                            inst: cond,
-                            is_store: false,
-                            is_branch: true,
-                            addr: i64::from(c != 0),
-                            value: c,
-                        });
-                    }
-                    bb = if c != 0 { then_bb } else { else_bb };
+                    let c = self.eval(f, cond, args, &mut env)?;
+                    bb = if hook.branch(func_idx, cond, c)? {
+                        then_bb
+                    } else {
+                        else_bb
+                    };
                 }
                 Terminator::Ret(v) => {
                     let rv = match v {
-                        Some(v) => Some(self.eval(&f, v, args, &mut env)?),
+                        Some(v) => Some(self.eval(f, v, args, &mut env)?),
                         None => None,
                     };
                     return Ok(InterpOutcome::Returned(rv));
                 }
             }
         }
+    }
+
+    fn burn(&mut self) -> Result<(), InterpError> {
+        if self.fuel == 0 {
+            return Err(InterpError::OutOfFuel);
+        }
+        self.fuel -= 1;
+        Ok(())
     }
 
     fn eval(
@@ -274,11 +398,8 @@ impl<'m> Machine<'m> {
         if let Some(&x) = env.get(&v.0) {
             return Ok(x);
         }
-        if self.fuel == 0 {
-            return Err(InterpError::OutOfFuel);
-        }
-        self.fuel -= 1;
-        let out = match f.inst(v).clone() {
+        self.burn()?;
+        let out = match *f.inst(v) {
             Inst::Const(c) => c,
             Inst::Param { index, .. } => *args.get(index).unwrap_or(&0),
             Inst::GlobalAddr(g) => self.global_base(g.0),
@@ -484,6 +605,55 @@ mod tests {
             run(&m, "ghost", &[], 10),
             Err(InterpError::UnknownFunction("ghost".into()))
         );
+    }
+
+    #[test]
+    fn hook_steers_a_branch_and_halts_across_frames() {
+        // f: if (0) { g(); return 1; } return 2;   g: fence; return;
+        let mut m = Module::new();
+        let mut g = Function::new("g", &[]);
+        let e = g.entry();
+        g.push(e, Inst::Fence);
+        g.set_term(e, Terminator::Ret(None));
+        m.add_function(g);
+        let mut f = Function::new("f", &[]);
+        let (e, then_bb, else_bb) = (f.entry(), f.add_block("then"), f.add_block("else"));
+        let (zero, one, two) = (f.iconst(0), f.iconst(1), f.iconst(2));
+        f.set_term(
+            e,
+            Terminator::CondBr {
+                cond: zero,
+                then_bb,
+                else_bb,
+            },
+        );
+        f.push(
+            then_bb,
+            Inst::Call {
+                callee: "g".into(),
+                args: vec![],
+                ty: Ty::Int,
+            },
+        );
+        f.set_term(then_bb, Terminator::Ret(Some(one)));
+        f.set_term(else_bb, Terminator::Ret(Some(two)));
+        m.add_function(f);
+
+        struct Flip;
+        impl Hook for Flip {
+            fn branch(&mut self, _: u32, _: InstId, cond: i64) -> Result<bool, Halt> {
+                Ok(cond == 0)
+            }
+            fn fence(&mut self) -> Result<(), Halt> {
+                Err(Halt)
+            }
+        }
+        let mut mach = Machine::new(&m);
+        assert_eq!(
+            mach.call("f", &[], 100),
+            Ok(InterpOutcome::Returned(Some(2)))
+        );
+        assert_eq!(mach.call_hooked("f", &[], 100, &mut Flip), Ok(None));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!
 //! The A-CFG transformation lives in [`acfg`]: loop summarization by
 //! two-fold unrolling and exhaustive inlining with two-fold recursion
-//! expansion. [`interp`] provides a reference interpreter used to validate
-//! that those transformations preserve straight-line semantics.
+//! expansion. [`interp`] is the one IR interpreter: it validates that
+//! those transformations preserve straight-line semantics, and through
+//! its [`interp::Hook`] seam it also runs the speculative oracle of
+//! `lcm-fuzz`.
 
 pub mod acfg;
 pub mod canon;

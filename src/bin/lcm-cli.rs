@@ -269,6 +269,7 @@ fn fuzz(args: &[String]) -> ExitCode {
             Json::Arr(report.engine_flagged.iter().map(|&n| num(n)).collect()),
         ),
         ("overapprox".into(), Json::Num(report.overapprox as f64)),
+        ("inconclusive".into(), Json::Num(report.inconclusive as f64)),
         ("mismatches".into(), num(report.mismatches.len())),
         ("repairs_checked".into(), num(report.repairs_checked)),
         ("repairs_clean".into(), num(report.repairs_clean)),
