@@ -223,8 +223,10 @@ impl Execution {
     ///
     /// Returns a human-readable description of the first problem found:
     /// an `rf`/`rfx` target with several sources, mismatched
-    /// locations/xstate, a non-total per-location `co`, or a non-total
-    /// per-xstate `cox`.
+    /// locations/xstate, an `rfx` edge that does not run from an xstate
+    /// writer to an xstate reader, a `cox` edge touching an event that
+    /// does not write xstate, a non-total per-location `co`, or a cyclic
+    /// `cox`.
     pub fn well_formed(&self) -> Result<(), String> {
         for e in &self.events {
             if e.kind.is_arch_read() {
@@ -245,24 +247,33 @@ impl Execution {
                     }
                 }
             }
-            if e.reads_xstate() {
-                let sources: Vec<usize> = self.rfx.predecessors(e.id.0).collect();
-                if sources.len() > 1 {
-                    return Err(format!("{} has {} rfx sources", e.id, sources.len()));
-                }
-                if let Some(&w) = sources.first() {
-                    if !self.events[w].writes_xstate() {
-                        return Err(format!(
-                            "rfx source {} of {} does not write xstate",
-                            EventId(w),
-                            e.id
-                        ));
-                    }
-                    if self.events[w].xstate != e.xstate {
-                        return Err(format!("rfx {} -> {} crosses xstate", EventId(w), e.id));
-                    }
-                }
+            let rfx_sources = self.rfx.predecessors(e.id.0).count();
+            if rfx_sources > 1 {
+                return Err(format!("{} has {rfx_sources} rfx sources", e.id));
             }
+        }
+        for (w, r) in self.rfx.pairs() {
+            let (ew, er) = (&self.events[w], &self.events[r]);
+            if !ew.writes_xstate() || !er.reads_xstate() {
+                return Err(format!(
+                    "rfx {} -> {} is not from an xstate writer to an xstate reader",
+                    ew.id, er.id
+                ));
+            }
+            if ew.xstate != er.xstate {
+                return Err(format!("rfx {} -> {} crosses xstate", ew.id, er.id));
+            }
+        }
+        if let Some((a, b)) = self
+            .cox
+            .pairs()
+            .find(|&(a, b)| !self.events[a].writes_xstate() || !self.events[b].writes_xstate())
+        {
+            return Err(format!(
+                "cox {} -> {} joins an event that does not write xstate",
+                EventId(a),
+                EventId(b)
+            ));
         }
         // co total per location over architectural writes.
         let mut by_loc: HashMap<Location, Vec<usize>> = HashMap::new();
@@ -874,6 +885,34 @@ mod tests {
         b.co(w1, w2);
         let exec = b.build();
         assert!(exec.well_formed().unwrap_err().contains("rf sources"));
+    }
+
+    #[test]
+    fn well_formed_rejects_xstate_edges_between_non_accessors() {
+        let mut b = ExecutionBuilder::new();
+        let f = b.fence();
+        let br = b.branch();
+        b.rfx(f, br);
+        let exec = b.build();
+        assert!(exec.well_formed().unwrap_err().contains("xstate writer"));
+        assert!(exec.well_formed_strict().is_err());
+        // A silent store only reads its line: it can source no rfx and
+        // take no part in cox.
+        let mut b = ExecutionBuilder::new();
+        let w = b.write("x");
+        let s = b.silent_write("x");
+        let r = b.read_hit("x");
+        b.po_chain(&[w, s, r]);
+        b.co(w, s);
+        b.rfx(s, r);
+        assert!(b.build().well_formed().is_err());
+        let mut b = ExecutionBuilder::new();
+        let w = b.write("x");
+        let s = b.silent_write("x");
+        b.po(w, s);
+        b.co(w, s);
+        b.cox(w, s);
+        assert!(b.build().well_formed().unwrap_err().contains("cox"));
     }
 
     #[test]
