@@ -268,11 +268,11 @@ mod tests {
 
     #[test]
     fn trace_execution_is_tso_consistent() {
-        use lcm_core::mcm::{ConsistencyModel, Tso};
+        use lcm_core::cat::presets;
         let src = "int A[8]; int t; void f(int i) { A[i & 7] = 1; t = A[i & 7]; }";
         let x = traced_exec(src, "f", &[3], &[]);
         assert!(
-            Tso.check(&x).is_ok(),
+            presets::tso().check(&x).is_ok(),
             "concrete runs are trivially consistent"
         );
     }

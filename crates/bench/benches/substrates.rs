@@ -70,7 +70,10 @@ fn bench_enumeration(c: &mut Criterion) {
         vec![Op::w("y"), Op::r("x")],
     ]);
     c.bench_function("substrates/litmus/sb-tso", |b| {
-        b.iter(|| sb.consistent_executions(&lcm_core::mcm::Tso).len());
+        b.iter(|| {
+            sb.consistent_executions(lcm_core::cat::presets::tso())
+                .len()
+        });
     });
 }
 

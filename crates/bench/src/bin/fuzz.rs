@@ -24,8 +24,8 @@
 use std::time::{Duration, Instant};
 
 use lcm_bench::cli;
+use lcm_core::cat::presets;
 use lcm_core::jsonw::Json;
-use lcm_core::mcm::{ConsistencyModel, Sc};
 use lcm_core::par::effective_jobs;
 use lcm_litmus::enumerate::Litmus;
 
@@ -129,11 +129,13 @@ fn run_rung(rung: &Rung, mode: Mode, jobs: usize) -> (u64, f64) {
             // The pre-streaming baseline: build every candidate into a
             // Vec, then filter.
             let all = rung.litmus.candidate_executions();
-            all.iter().filter(|e| Sc.check(e).is_ok()).count() as u64
+            all.iter()
+                .filter(|e| presets::sc().check(e).is_ok())
+                .count() as u64
         }
-        Mode::Stream => rung.litmus.count_consistent(&Sc),
-        Mode::Symmetric => rung.litmus.count_consistent_symmetric(&Sc).total,
-        Mode::Parallel => rung.litmus.count_consistent_par(&Sc, jobs),
+        Mode::Stream => rung.litmus.count_consistent(presets::sc()),
+        Mode::Symmetric => rung.litmus.count_consistent_symmetric(presets::sc()).total,
+        Mode::Parallel => rung.litmus.count_consistent_par(presets::sc(), jobs),
     };
     (n, start.elapsed().as_secs_f64())
 }

@@ -247,9 +247,11 @@ impl Execution {
                     }
                 }
             }
-            let rfx_sources = self.rfx.predecessors(e.id.0).count();
-            if rfx_sources > 1 {
-                return Err(format!("{} has {rfx_sources} rfx sources", e.id));
+            if e.reads_xstate() {
+                let sources = self.rfx.predecessors(e.id.0).count();
+                if sources > 1 {
+                    return Err(format!("{} has {sources} rfx sources", e.id));
+                }
             }
         }
         for (w, r) in self.rfx.pairs() {

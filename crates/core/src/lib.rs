@@ -23,12 +23,10 @@
 //! |---|---|
 //! | [`event`] | §2.1.1 events, ⊤/⊥, transient marking |
 //! | [`exec`] | §2.1.2 candidate executions, §3.2 microarchitectural witness |
-//! | [`mcm`] | §2.1.3 consistency predicates (SC, x86-TSO) |
-//! | [`confidentiality`] | §3.2.2/§4.2 confidentiality predicates |
 //! | [`noninterference`] | §4.1 rf/co/fr non-interference |
 //! | [`taxonomy`] | §3.2.4 transmitter taxonomy (Table 1) |
 //! | [`speculation`] | §3.3 speculative semantics (tfo, windows) |
-//! | [`cat`] | extension: parameterizable cat-style MCM/LCM specifications |
+//! | [`cat`] | §2.1.3 consistency and §3.2.2/§4.2 confidentiality predicates as cat text: SC, x86-TSO and four LCMs as presets |
 //! | [`leakage`] | §3.2.3 leak detection over complete executions |
 //!
 //! # Examples
@@ -37,27 +35,25 @@
 //! it is TSO-consistent:
 //!
 //! ```
+//! use lcm_core::cat::presets;
 //! use lcm_core::exec::ExecutionBuilder;
-//! use lcm_core::mcm::{ConsistencyModel, Tso};
 //!
 //! let mut b = ExecutionBuilder::new();
 //! let r1 = b.read("size");
 //! let r2 = b.read("y");
 //! b.po(r1, r2);
 //! let exec = b.build();
-//! assert!(Tso.check(&exec).is_ok());
+//! assert!(presets::tso().check(&exec).is_ok());
 //! ```
 
 pub mod backoff;
 pub mod cat;
-pub mod confidentiality;
 pub mod event;
 pub mod exec;
 pub mod fault;
 pub mod govern;
 pub mod jsonw;
 pub mod leakage;
-pub mod mcm;
 pub mod noninterference;
 pub mod par;
 pub mod speculation;

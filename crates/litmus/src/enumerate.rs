@@ -1,9 +1,8 @@
 //! Bounded exhaustive enumeration of candidate executions (the Alloy-style
 //! analysis behind subrosa, §3.4).
 
-use lcm_core::confidentiality::ConfidentialityModel;
+use lcm_core::cat::CatModel;
 use lcm_core::exec::{Execution, ExecutionBuilder};
-use lcm_core::mcm::ConsistencyModel;
 use lcm_core::EventId;
 
 /// A rebuild callback: recreates a template execution with the given
@@ -306,7 +305,7 @@ impl Litmus {
     }
 
     /// Streaming count of model-consistent executions.
-    pub fn count_consistent(&self, model: &dyn ConsistencyModel) -> u64 {
+    pub fn count_consistent(&self, model: &CatModel) -> u64 {
         let mut n = 0;
         self.for_each_candidate(|x| {
             if model.check(x).is_ok() {
@@ -322,7 +321,7 @@ impl Litmus {
     /// [`lcm_core::par::map_indexed`]; each worker decodes its range
     /// independently (mixed-radix), so the count is identical at every
     /// job count.
-    pub fn count_consistent_par<M: ConsistencyModel + Sync>(&self, model: &M, jobs: usize) -> u64 {
+    pub fn count_consistent_par(&self, model: &CatModel, jobs: usize) -> u64 {
         let space = self.choice_space();
         let total = space.total();
         let jobs = lcm_core::par::effective_jobs(jobs).max(1) as u128;
@@ -351,7 +350,7 @@ impl Litmus {
     /// [`Litmus::count_consistent`] — consistency predicates are
     /// invariant under renaming — while only `canonical` executions were
     /// actually built.
-    pub fn count_consistent_symmetric(&self, model: &dyn ConsistencyModel) -> SymmetricCount {
+    pub fn count_consistent_symmetric(&self, model: &CatModel) -> SymmetricCount {
         let space = self.choice_space();
         let auts = self.automorphisms(&space);
         let total = space.total();
@@ -436,7 +435,7 @@ impl Litmus {
 
     /// The candidate executions consistent with a memory model: the
     /// program's **architectural semantics** (§2.2).
-    pub fn consistent_executions(&self, model: &dyn ConsistencyModel) -> Vec<Execution> {
+    pub fn consistent_executions(&self, model: &CatModel) -> Vec<Execution> {
         let mut out = Vec::new();
         self.for_each_candidate(|x| {
             if model.check(x).is_ok() {
@@ -602,7 +601,7 @@ fn enum_pruned_counter() -> &'static lcm_obs::metrics::Counter {
 /// confidentiality predicate.
 pub fn microarch_witnesses(
     template: &Execution,
-    confidentiality: &dyn ConfidentialityModel,
+    confidentiality: &CatModel,
     rebuild: Rebuild<'_>,
 ) -> Vec<Execution> {
     // Per xstate element: writers and readers.
@@ -696,25 +695,14 @@ impl ModelComparison {
 /// (and which *leaky* witnesses) each hardware model admits.
 pub fn compare_models(
     template: &Execution,
-    first: &dyn ConfidentialityModel,
-    second: &dyn ConfidentialityModel,
+    first: &CatModel,
+    second: &CatModel,
     rebuild: Rebuild<'_>,
 ) -> ModelComparison {
-    // Enumerate under a permit-all oracle, then classify.
-    struct PermitAll;
-    impl ConfidentialityModel for PermitAll {
-        fn name(&self) -> &'static str {
-            "permit-all"
-        }
-        fn check(
-            &self,
-            _: &Execution,
-        ) -> Result<(), lcm_core::confidentiality::ConfidentialityViolation> {
-            Ok(())
-        }
-    }
+    // Enumerate under a permit-all model, then classify.
+    let permit_all = CatModel::parse("permit-all", "empty(0)").expect("permit-all parses");
     let mut out = ModelComparison::default();
-    for x in microarch_witnesses(template, &PermitAll, rebuild) {
+    for x in microarch_witnesses(template, &permit_all, rebuild) {
         let a = first.check(&x).is_ok();
         let b = second.check(&x).is_ok();
         let leaky = !lcm_core::noninterference::interference_free(&x);
@@ -789,8 +777,7 @@ fn product_vec(cands: &[Vec<Vec<EventId>>]) -> Vec<Vec<Vec<EventId>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcm_core::confidentiality::X86Lcm;
-    use lcm_core::mcm::{Sc, Tso};
+    use lcm_core::cat::presets::{sc, silent_store_lcm, tso, x86_lcm};
     use lcm_core::noninterference;
 
     /// Store buffering: Wx; Ry || Wy; Rx.
@@ -806,8 +793,8 @@ mod tests {
         let l = sb();
         let all = l.candidate_executions();
         assert_eq!(all.len(), 4, "2 rf choices per read");
-        let tso = l.consistent_executions(&Tso);
-        let sc = l.consistent_executions(&Sc);
+        let tso = l.consistent_executions(tso());
+        let sc = l.consistent_executions(sc());
         assert_eq!(tso.len(), 4, "TSO allows the relaxed outcome");
         assert_eq!(sc.len(), 3, "SC forbids both-reads-stale");
         // TSO is weaker: every SC execution is TSO-consistent.
@@ -820,8 +807,8 @@ mod tests {
             vec![Op::w("x"), Op::F, Op::r("y")],
             vec![Op::w("y"), Op::F, Op::r("x")],
         ]);
-        let tso = l.consistent_executions(&Tso);
-        let sc = l.consistent_executions(&Sc);
+        let tso = l.consistent_executions(tso());
+        let sc = l.consistent_executions(sc());
         assert_eq!(tso.len(), sc.len(), "fences eliminate the TSO-only outcome");
         assert_eq!(tso.len(), 3);
     }
@@ -835,7 +822,7 @@ mod tests {
         ]);
         let all = l.candidate_executions();
         assert_eq!(all.len(), 4);
-        let tso = l.consistent_executions(&Tso);
+        let tso = l.consistent_executions(tso());
         // The outcome Ry=new ∧ Rx=stale is forbidden: 3 remain.
         assert_eq!(tso.len(), 3);
     }
@@ -847,7 +834,7 @@ mod tests {
         let l = Litmus::new(vec![vec![Op::w("x"), Op::w("x")], vec![Op::r("x")]]);
         let all = l.candidate_executions();
         assert_eq!(all.len(), 6);
-        let tso = l.consistent_executions(&Tso);
+        let tso = l.consistent_executions(tso());
         // po(w1,w2) forces co(w1,w2): the co order w2->w1 violates
         // sc_per_loc regardless of rf: 3 remain.
         assert_eq!(tso.len(), 3);
@@ -871,7 +858,7 @@ mod tests {
             b.build()
         };
         let template = make(&[], &[]);
-        let witnesses = microarch_witnesses(&template, &X86Lcm, &make);
+        let witnesses = microarch_witnesses(&template, x86_lcm(), &make);
         assert!(!witnesses.is_empty());
         let clean: Vec<_> = witnesses
             .iter()
@@ -906,8 +893,8 @@ mod tests {
             vec![Op::r("x"), Op::r("y")],
             vec![Op::r("y"), Op::r("x")],
         ]);
-        let sc = l.consistent_executions(&Sc);
-        let tso = l.consistent_executions(&Tso);
+        let sc = l.consistent_executions(sc());
+        let tso = l.consistent_executions(tso());
         assert_eq!(sc.len(), tso.len(), "TSO adds nothing on IRIW");
         // The paradoxical outcome (t2 sees x-new,y-old; t3 sees y-new,
         // x-old) is not among them.
@@ -934,7 +921,7 @@ mod tests {
     #[test]
     fn corr_coherence_enforced() {
         let l = Litmus::new(vec![vec![Op::w("x")], vec![Op::r("x"), Op::r("x")]]);
-        for x in l.consistent_executions(&Tso) {
+        for x in l.consistent_executions(tso()) {
             // If the first read sees the new value, the second must too.
             let reads: Vec<_> = x
                 .events()
@@ -957,7 +944,7 @@ mod tests {
     #[test]
     fn fence_only_threads_are_harmless() {
         let l = Litmus::new(vec![vec![Op::F, Op::F]]);
-        assert_eq!(l.consistent_executions(&Tso).len(), 1);
+        assert_eq!(l.consistent_executions(tso()).len(), 1);
     }
 
     #[test]
@@ -967,8 +954,8 @@ mod tests {
         let fenced = Litmus::parse("W x; F; R y || W y; F; R x").unwrap();
         assert_eq!(fenced.len(), 6);
         assert_eq!(
-            parsed.consistent_executions(&Tso).len(),
-            sb().consistent_executions(&Tso).len()
+            parsed.consistent_executions(tso()).len(),
+            sb().consistent_executions(tso()).len()
         );
     }
 
@@ -982,18 +969,26 @@ mod tests {
         assert_eq!(l.len(), 2);
     }
 
-    /// The parameterizable-model path (§5.2's future work, implemented as
-    /// an extension): user-supplied cat specifications drive the
-    /// enumerator and agree with the built-in models.
+    /// The parameterizable-model path (§5.2's future work): user-supplied
+    /// cat specifications drive the enumerator. SC and TSO restated in
+    /// other words agree with the presets.
     #[test]
     fn cat_models_agree_with_builtins_on_classic_litmus() {
-        use lcm_core::cat::{presets, CatModel};
-        let cat_tso = CatModel::parse("TSO", presets::TSO).unwrap();
-        let cat_sc = CatModel::parse("SC", presets::SC).unwrap();
+        let user_sc = CatModel::parse("SC", "acyclic(rf | co | fr | po)").unwrap();
+        let user_tso = CatModel::parse(
+            "TSO",
+            "let m = [R] | [W] && let ppo = m;po;m \\ [W];po;[R] && \
+             acyclic(rf | co | fr | po_loc) && acyclic(rfe | co | fr | ppo | po;[F];po)",
+        )
+        .unwrap();
         for l in [
             Litmus::new(vec![
                 vec![Op::w("x"), Op::r("y")],
                 vec![Op::w("y"), Op::r("x")],
+            ]),
+            Litmus::new(vec![
+                vec![Op::w("x"), Op::F, Op::r("y")],
+                vec![Op::w("y"), Op::F, Op::r("x")],
             ]),
             Litmus::new(vec![
                 vec![Op::w("x"), Op::w("y")],
@@ -1002,19 +997,18 @@ mod tests {
             Litmus::new(vec![vec![Op::w("x"), Op::w("x")], vec![Op::r("x")]]),
         ] {
             assert_eq!(
-                l.consistent_executions(&cat_tso).len(),
-                l.consistent_executions(&Tso).len()
+                l.consistent_executions(&user_tso).len(),
+                l.consistent_executions(tso()).len()
             );
             assert_eq!(
-                l.consistent_executions(&cat_sc).len(),
-                l.consistent_executions(&Sc).len()
+                l.consistent_executions(&user_sc).len(),
+                l.consistent_executions(sc()).len()
             );
         }
     }
 
     #[test]
     fn silent_store_hardware_is_weaker_than_x86() {
-        use lcm_core::confidentiality::SilentStoreLcm;
         // Template: two same-location stores; a silent-store machine may
         // execute the second as a read.
         let make = |rfx: &[(EventId, EventId)], cox: &[(EventId, EventId)]| {
@@ -1036,7 +1030,7 @@ mod tests {
             b.build()
         };
         let template = make(&[], &[]);
-        let cmp = compare_models(&template, &SilentStoreLcm, &X86Lcm, &make);
+        let cmp = compare_models(&template, silent_store_lcm(), x86_lcm(), &make);
         assert!(cmp.first_is_weaker(), "{cmp:?}");
         assert!(
             cmp.leaky_only_first > 0,
@@ -1061,7 +1055,7 @@ mod tests {
             b.build()
         };
         let template = make(&[], &[]);
-        let cmp = compare_models(&template, &X86Lcm, &X86Lcm, &make);
+        let cmp = compare_models(&template, x86_lcm(), x86_lcm(), &make);
         assert_eq!(cmp.only_first, 0);
         assert_eq!(cmp.only_second, 0);
         assert!(cmp.both > 0);
@@ -1083,8 +1077,8 @@ mod tests {
                 l.candidate_executions().len()
             );
             assert_eq!(
-                l.count_consistent(&Tso) as usize,
-                l.consistent_executions(&Tso).len()
+                l.count_consistent(tso()) as usize,
+                l.consistent_executions(tso()).len()
             );
         }
     }
@@ -1106,9 +1100,9 @@ mod tests {
             vec![Op::w("x"), Op::r("y"), Op::w("y")],
             vec![Op::w("y"), Op::r("x"), Op::w("x")],
         ]);
-        let serial = l.count_consistent(&Tso);
+        let serial = l.count_consistent(tso());
         for jobs in [1, 2, 4, 8] {
-            assert_eq!(l.count_consistent_par(&Tso, jobs), serial, "jobs={jobs}");
+            assert_eq!(l.count_consistent_par(tso(), jobs), serial, "jobs={jobs}");
         }
     }
 
@@ -1117,10 +1111,10 @@ mod tests {
         // SB is invariant under swapping the threads together with x↔y:
         // |G| = 2, so roughly half the choice vectors are non-canonical.
         let l = sb();
-        let sym = l.count_consistent_symmetric(&Tso);
+        let sym = l.count_consistent_symmetric(tso());
         assert_eq!(
             sym.total,
-            l.count_consistent(&Tso),
+            l.count_consistent(tso()),
             "orbit totals are exact"
         );
         assert!(sym.pruned > 0, "the swap automorphism prunes: {sym:?}");
@@ -1131,8 +1125,8 @@ mod tests {
     fn symmetric_count_exact_on_asymmetric_program() {
         // No non-trivial automorphism: different ops per thread.
         let l = Litmus::new(vec![vec![Op::w("x"), Op::w("x")], vec![Op::r("x")]]);
-        let sym = l.count_consistent_symmetric(&Tso);
-        assert_eq!(sym.total, l.count_consistent(&Tso));
+        let sym = l.count_consistent_symmetric(tso());
+        assert_eq!(sym.total, l.count_consistent(tso()));
         assert_eq!(sym.pruned, 0, "identity-only group prunes nothing");
         assert_eq!(sym.canonical, sym.total);
     }
@@ -1143,8 +1137,8 @@ mod tests {
             vec![Op::w("x"), Op::F, Op::r("y")],
             vec![Op::w("y"), Op::F, Op::r("x")],
         ]);
-        let sym = l.count_consistent_symmetric(&Sc);
-        assert_eq!(sym.total, l.count_consistent(&Sc));
+        let sym = l.count_consistent_symmetric(sc());
+        assert_eq!(sym.total, l.count_consistent(sc()));
         assert!(sym.pruned > 0);
     }
 }

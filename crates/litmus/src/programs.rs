@@ -290,10 +290,7 @@ pub fn imp_prefetch() -> (Execution, ImpPrefetch) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcm_core::confidentiality::{
-        ConfidentialityModel, NaiveTsoLift, PsfLcm, SilentStoreLcm, X86Lcm,
-    };
-    use lcm_core::mcm::{ConsistencyModel, Tso};
+    use lcm_core::cat::presets::{naive_tso_lift, psf_lcm, silent_store_lcm, tso, x86_lcm};
     use lcm_core::taxonomy::{TransmittedField, TransmitterClass};
     use lcm_core::{detect_leakage, Transmitter};
 
@@ -312,7 +309,7 @@ mod tests {
     fn spectre_v1_matches_paper_classification() {
         let (x, ids) = spectre_v1();
         assert!(x.well_formed().is_ok(), "{:?}", x.well_formed());
-        assert!(Tso.check(&x).is_ok(), "consistent under TSO");
+        assert!(tso().check(&x).is_ok(), "consistent under TSO");
         let report = detect_leakage(&x);
         assert!(!report.is_clean());
         // §4.2: 2 is an AT; 5/5s are DTs with access 2; 6/6s are candidate
@@ -355,11 +352,11 @@ mod tests {
     fn spectre_v4_needs_relaxed_confidentiality() {
         let (x, ids) = spectre_v4();
         assert!(x.well_formed().is_ok());
-        assert!(Tso.check(&x).is_ok());
+        assert!(tso().check(&x).is_ok());
         // The frx ∪ tfo_loc cycle: naive lift forbids, x86 LCM permits.
-        assert!(X86Lcm.check(&x).is_ok(), "x86 permits Spectre v4");
+        assert!(x86_lcm().check(&x).is_ok(), "x86 permits Spectre v4");
         assert_eq!(
-            NaiveTsoLift.check(&x).unwrap_err().constraint,
+            naive_tso_lift().check(&x).unwrap_err().axiom,
             "sc_per_loc_x",
             "naive sc_per_loc_x would rule the execution out"
         );
@@ -387,11 +384,11 @@ mod tests {
         let (x, ids) = spectre_psf();
         assert!(x.well_formed().is_ok());
         assert_eq!(
-            X86Lcm.check(&x).unwrap_err().constraint,
+            x86_lcm().check(&x).unwrap_err().axiom,
             "no_alias_prediction",
             "cross-address rfx is impossible without alias prediction"
         );
-        assert!(PsfLcm.check(&x).is_ok());
+        assert!(psf_lcm().check(&x).is_ok());
         let report = detect_leakage(&x);
         assert!(
             classes_of(&report.transmitters, ids.e5s).contains(&TransmitterClass::UniversalData)
@@ -402,9 +399,9 @@ mod tests {
     fn silent_stores_leak_data_field() {
         let (x, ids) = silent_stores();
         assert!(x.well_formed().is_ok());
-        assert!(Tso.check(&x).is_ok());
-        assert!(SilentStoreLcm.check(&x).is_ok());
-        assert!(X86Lcm.check(&x).is_err(), "x86 has no silent stores");
+        assert!(tso().check(&x).is_ok());
+        assert!(silent_store_lcm().check(&x).is_ok());
+        assert!(x86_lcm().check(&x).is_err(), "x86 has no silent stores");
         let report = detect_leakage(&x);
         let t = report
             .transmitters

@@ -5,9 +5,8 @@
 //!
 //! Run with: `cargo run --example litmus_models`
 
-use lcm::core::confidentiality::X86Lcm;
+use lcm::core::cat::presets;
 use lcm::core::exec::ExecutionBuilder;
-use lcm::core::mcm::{Sc, Tso};
 use lcm::core::{noninterference, EventId};
 use lcm::litmus::enumerate::{microarch_witnesses, Litmus, Op};
 
@@ -47,8 +46,8 @@ fn main() {
     println!("{}", "-".repeat(48));
     for (name, l) in &tests {
         let all = l.candidate_executions().len();
-        let sc = l.consistent_executions(&Sc).len();
-        let tso = l.consistent_executions(&Tso).len();
+        let sc = l.consistent_executions(presets::sc()).len();
+        let tso = l.consistent_executions(presets::tso()).len();
         println!("{name:<22} {all:>10} {sc:>6} {tso:>6}");
         assert!(sc <= tso, "TSO is weaker than SC");
     }
@@ -68,7 +67,7 @@ fn main() {
         b.build()
     };
     let template = make(&[], &[]);
-    let witnesses = microarch_witnesses(&template, &X86Lcm, &make);
+    let witnesses = microarch_witnesses(&template, presets::x86_lcm(), &make);
     let clean = witnesses
         .iter()
         .filter(|x| noninterference::interference_free(x))

@@ -5,9 +5,9 @@
 //! Run with: `cargo run --example spectre_v1_graphs`
 //! Pipe any of the DOT blocks into `dot -Tpdf` to render.
 
+use lcm::core::cat::presets;
 use lcm::core::detect_leakage;
 use lcm::core::exec::ExecutionBuilder;
-use lcm::core::mcm::{ConsistencyModel, Tso};
 use lcm::litmus::programs;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     b.set_label(r2, "2: R y -> r2");
     b.po(r1, r2);
     let not_taken = b.build();
-    assert!(Tso.check(&not_taken).is_ok());
+    assert!(presets::tso().check(&not_taken).is_ok());
     println!("// Fig. 1c — not-taken candidate execution");
     println!("{}", not_taken.to_dot("fig1c_not_taken", &[]));
 
@@ -41,7 +41,7 @@ fn main() {
     b.addr_gep(r2, r5).addr_gep(r5, r6);
     b.data(r6, w7);
     let taken = b.build();
-    assert!(Tso.check(&taken).is_ok());
+    assert!(presets::tso().check(&taken).is_ok());
     println!("// Fig. 1d — taken candidate execution (dep edges shown)");
     println!("{}", taken.to_dot("fig1d_taken", &[]));
 

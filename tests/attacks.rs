@@ -3,10 +3,7 @@
 //! ruled out by the confidentiality predicates the paper says, and
 //! classified per Table 1.
 
-use lcm::core::confidentiality::{
-    ConfidentialityModel, NaiveTsoLift, PsfLcm, SilentStoreLcm, X86Lcm,
-};
-use lcm::core::mcm::{ConsistencyModel, Sc, Tso};
+use lcm::core::cat::presets::{naive_tso_lift, psf_lcm, sc, silent_store_lcm, tso, x86_lcm};
 use lcm::core::taxonomy::TransmittedField;
 use lcm::core::{detect_leakage, TransmitterClass};
 use lcm::litmus::programs;
@@ -15,8 +12,8 @@ use lcm::litmus::programs;
 fn fig2b_spectre_v1_true_universal_transmitter_is_transient() {
     let (x, ids) = programs::spectre_v1();
     assert!(x.well_formed().is_ok());
-    assert!(Tso.check(&x).is_ok());
-    assert!(Sc.check(&x).is_ok(), "single-threaded: SC-consistent too");
+    assert!(tso().check(&x).is_ok());
+    assert!(sc().check(&x).is_ok(), "single-threaded: SC-consistent too");
     let r = detect_leakage(&x);
     // The bounds check restricts 6; 6s is the *true* UDT (§3.2.4).
     let udts: Vec<_> = r
@@ -56,8 +53,8 @@ fn fig4a_spectre_v4_confidentiality_predicate_design() {
         "frx ∪ tfo_loc has the v4 cycle"
     );
     // x86 permits it; the naive lift of sc_per_loc does not.
-    assert!(X86Lcm.check(&x).is_ok());
-    assert!(NaiveTsoLift.check(&x).is_err());
+    assert!(x86_lcm().check(&x).is_ok());
+    assert!(naive_tso_lift().check(&x).is_err());
     // Leakage involves a transient transmitter AND transient access.
     let r = detect_leakage(&x);
     let udt = r
@@ -72,10 +69,10 @@ fn fig4a_spectre_v4_confidentiality_predicate_design() {
 fn fig4b_psf_needs_alias_prediction() {
     let (x, ids) = programs::spectre_psf();
     assert!(
-        X86Lcm.check(&x).is_err(),
+        x86_lcm().check(&x).is_err(),
         "no alias prediction on vanilla x86 model"
     );
-    assert!(PsfLcm.check(&x).is_ok(), "PSF hardware permits it");
+    assert!(psf_lcm().check(&x).is_ok(), "PSF hardware permits it");
     let r = detect_leakage(&x);
     assert!(r
         .transmitters
@@ -86,8 +83,8 @@ fn fig4b_psf_needs_alias_prediction() {
 #[test]
 fn fig5a_silent_store_transmits_data_field() {
     let (x, ids) = programs::silent_stores();
-    assert!(SilentStoreLcm.check(&x).is_ok());
-    assert!(X86Lcm.check(&x).is_err());
+    assert!(silent_store_lcm().check(&x).is_ok());
+    assert!(x86_lcm().check(&x).is_err());
     let r = detect_leakage(&x);
     let t = r.transmitters.iter().find(|t| t.event == ids.w2).unwrap();
     assert_eq!(t.field, TransmittedField::Data);

@@ -3,7 +3,6 @@
 //! §4b).
 
 use lcm::core::cat::{presets, CatModel};
-use lcm::core::confidentiality::{SilentStoreLcm, X86Lcm};
 use lcm::core::exec::ExecutionBuilder;
 use lcm::core::speculation::SpeculationPrimitive;
 use lcm::core::{EventId, TransmitterClass};
@@ -64,8 +63,8 @@ fn cat_language_expresses_the_paper_presets() {
     // on the Spectre v4 witness, as §4.2 demands.
     let (x, _) = lcm::litmus::programs::spectre_v4();
     let naive = CatModel::parse("naive", presets::SC_PER_LOC_X).unwrap();
-    assert!(naive.eval(&x).is_err());
-    assert!(lcm::core::confidentiality::ConfidentialityModel::check(&X86Lcm, &x).is_ok());
+    assert!(naive.check(&x).is_err());
+    assert!(presets::x86_lcm().check(&x).is_ok());
 }
 
 #[test]
@@ -85,7 +84,12 @@ fn model_comparison_orders_hardware_by_leakiness() {
         b.build()
     };
     let template = make(&[], &[]);
-    let cmp = compare_models(&template, &SilentStoreLcm, &X86Lcm, &make);
+    let cmp = compare_models(
+        &template,
+        presets::silent_store_lcm(),
+        presets::x86_lcm(),
+        &make,
+    );
     assert!(cmp.first_is_weaker());
     assert!(cmp.leaky_only_first > 0);
 }

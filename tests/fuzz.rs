@@ -138,7 +138,7 @@ fn quick_sweep_has_no_mismatches() {
 /// materialized count.
 #[test]
 fn enumeration_strategies_agree() {
-    use lcm::core::mcm::{ConsistencyModel, Sc, Tso};
+    use lcm::core::cat::presets::{sc, tso};
     let programs = [
         "W x; R y || W y; R x",
         "W x; R y || W y; F; R x",
@@ -146,7 +146,7 @@ fn enumeration_strategies_agree() {
     ];
     for src in programs {
         let l = Litmus::parse(src).unwrap();
-        for model in [&Sc as &(dyn ConsistencyModel + Sync), &Tso] {
+        for model in [sc(), tso()] {
             let materialized = l
                 .candidate_executions()
                 .iter()
@@ -159,7 +159,7 @@ fn enumeration_strategies_agree() {
                 "{src}"
             );
             for jobs in [1, 4, 8] {
-                assert_eq!(l.count_consistent_par(&Sc, jobs), l.count_consistent(&Sc));
+                assert_eq!(l.count_consistent_par(sc(), jobs), l.count_consistent(sc()));
             }
         }
     }

@@ -8,11 +8,8 @@
 //! renderings are folded into FNV-1a digests, so any change to a model's
 //! accepted set, axiom names or witnesses shows up here.
 
-use lcm::core::confidentiality::{
-    ConfidentialityModel, ConfidentialityViolation, NaiveTsoLift, PsfLcm, SilentStoreLcm, X86Lcm,
-};
+use lcm::core::cat::{presets, CatModel};
 use lcm::core::exec::{Execution, ExecutionBuilder};
-use lcm::core::mcm::{ConsistencyModel, Sc, Tso};
 use lcm::core::EventId;
 use lcm::litmus::enumerate::{microarch_witnesses, Litmus};
 use lcm::litmus::programs;
@@ -23,48 +20,29 @@ type Edge = (EventId, EventId);
 /// PSF.
 const MODELS: usize = 6;
 
+fn model(model: usize) -> &'static CatModel {
+    [
+        presets::sc,
+        presets::tso,
+        presets::x86_lcm,
+        presets::naive_tso_lift,
+        presets::silent_store_lcm,
+        presets::psf_lcm,
+    ][model]()
+}
+
 fn model_name(model: usize) -> &'static str {
-    match model {
-        0 => ConsistencyModel::name(&Sc),
-        1 => ConsistencyModel::name(&Tso),
-        2 => ConfidentialityModel::name(&X86Lcm),
-        3 => ConfidentialityModel::name(&NaiveTsoLift),
-        4 => ConfidentialityModel::name(&SilentStoreLcm),
-        _ => ConfidentialityModel::name(&PsfLcm),
-    }
+    self::model(model).name()
 }
 
 /// `ok`, or the violated axiom and its witness ids.
 fn verdict(model: usize, x: &Execution) -> String {
-    let lcm = |v: ConfidentialityViolation| (v.constraint, v.witness);
-    let r = match model {
-        0 => Sc.check(x).map_err(|v| (v.axiom, v.cycle)),
-        1 => Tso.check(x).map_err(|v| (v.axiom, v.cycle)),
-        2 => X86Lcm.check(x).map_err(lcm),
-        3 => NaiveTsoLift.check(x).map_err(lcm),
-        4 => SilentStoreLcm.check(x).map_err(lcm),
-        _ => PsfLcm.check(x).map_err(lcm),
-    };
-    match r {
+    match self::model(model).check(x) {
         Ok(()) => "ok".to_string(),
-        Err((axiom, witness)) => {
-            let ids: Vec<String> = witness.iter().map(ToString::to_string).collect();
-            format!("{axiom}:{}", ids.join(","))
+        Err(v) => {
+            let ids: Vec<String> = v.witness.iter().map(ToString::to_string).collect();
+            format!("{}:{}", v.axiom, ids.join(","))
         }
-    }
-}
-
-/// A permit-all confidentiality predicate: enumerates every strictly
-/// well-formed witness.
-struct PermitAll;
-
-impl ConfidentialityModel for PermitAll {
-    fn name(&self) -> &'static str {
-        "permit-all"
-    }
-
-    fn check(&self, _: &Execution) -> Result<(), ConfidentialityViolation> {
-        Ok(())
     }
 }
 
@@ -180,8 +158,8 @@ fn litmus_candidate_verdicts_are_pinned() {
                 true
             })
             .visited;
-        assert_eq!(l.count_consistent(&Sc), sc, "{name}");
-        assert_eq!(l.count_consistent(&Tso), tso, "{name}");
+        assert_eq!(l.count_consistent(presets::sc()), sc, "{name}");
+        assert_eq!(l.count_consistent(presets::tso()), tso, "{name}");
         got.push((name, src, candidates, sc, tso, digest.0));
     }
     assert_eq!(got, LITMUS);
@@ -286,9 +264,10 @@ fn microarchitectural_witness_verdicts_are_pinned() {
         ("v4", v4),
         ("ssw", ssw),
     ];
+    let permit_all = CatModel::parse("permit-all", "empty(0)").unwrap();
     let mut got = Vec::new();
     for (name, make) in templates {
-        let witnesses = microarch_witnesses(&make(&[], &[]), &PermitAll, &make);
+        let witnesses = microarch_witnesses(&make(&[], &[]), &permit_all, &make);
         let mut permitted = [0; 4];
         let mut digest = Fnv::new();
         for x in &witnesses {

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: the DESIGN.md §5 invariants that span
 //! subsystems.
 
-use lcm::core::mcm::{ConsistencyModel, Sc, Tso};
+use lcm::core::cat::presets;
 use lcm::ir::interp::{InterpOutcome, Machine};
 use lcm::litmus::enumerate::{Litmus, Op};
 use proptest::prelude::*;
@@ -28,13 +28,13 @@ proptest! {
 
     #[test]
     fn tso_is_weaker_than_sc(l in litmus_strategy()) {
-        let sc = l.consistent_executions(&Sc);
-        let tso = l.consistent_executions(&Tso);
+        let sc = l.consistent_executions(presets::sc());
+        let tso = l.consistent_executions(presets::tso());
         prop_assert!(sc.len() <= tso.len(), "SC ⊆ TSO violated");
         // And every SC-consistent execution is TSO-consistent: check by
         // re-evaluating the TSO predicate on the SC set.
         for x in &sc {
-            prop_assert!(Tso.check(x).is_ok());
+            prop_assert!(presets::tso().check(x).is_ok());
         }
     }
 
@@ -53,7 +53,7 @@ proptest! {
 
     #[test]
     fn consistent_executions_have_acyclic_com_po_under_sc(l in litmus_strategy()) {
-        for x in l.consistent_executions(&Sc) {
+        for x in l.consistent_executions(presets::sc()) {
             let r = x.com().union(x.po());
             prop_assert!(lcm::relalg::acyclic(&r));
         }

@@ -3,24 +3,11 @@
 //! of small templates, the interference-free ones are exactly those whose
 //! `comx` matches architectural expectation.
 
-use lcm::core::confidentiality::{ConfidentialityModel, X86Lcm};
+use lcm::core::cat::{presets, CatModel};
 use lcm::core::exec::{Execution, ExecutionBuilder};
 use lcm::core::noninterference::{implied_microarch, interference_free, violations};
 use lcm::core::EventId;
 use lcm::litmus::enumerate::{microarch_witnesses, Litmus};
-
-struct PermitAll;
-impl ConfidentialityModel for PermitAll {
-    fn name(&self) -> &'static str {
-        "permit-all"
-    }
-    fn check(
-        &self,
-        _: &Execution,
-    ) -> Result<(), lcm::core::confidentiality::ConfidentialityViolation> {
-        Ok(())
-    }
-}
 
 /// Template: R x; W x; R x(hit from the write).
 fn rwr(rfx: &[(EventId, EventId)], cox: &[(EventId, EventId)]) -> Execution {
@@ -48,7 +35,7 @@ fn exactly_one_interference_free_witness_for_straight_line_code() {
     // non-interference mappings alone do not rule out — the x86 LCM
     // rejects them.
     let template = rwr(&[], &[]);
-    let witnesses = microarch_witnesses(&template, &X86Lcm, &rwr);
+    let witnesses = microarch_witnesses(&template, presets::x86_lcm(), &rwr);
     assert!(
         witnesses.len() > 1,
         "several witnesses exist: {}",
@@ -66,7 +53,7 @@ fn exactly_one_interference_free_witness_for_straight_line_code() {
 #[test]
 fn every_deviating_witness_names_a_receiver_with_a_source() {
     let template = rwr(&[], &[]);
-    for x in microarch_witnesses(&template, &X86Lcm, &rwr) {
+    for x in microarch_witnesses(&template, presets::x86_lcm(), &rwr) {
         for v in violations(&x) {
             // The receiver is the culprit edge's target...
             assert_eq!(v.receiver, v.culprit.1);
@@ -86,7 +73,7 @@ fn consistent_executions_of_litmus_programs_have_detectable_witness_space() {
     // deviating (leaky) option under the permissive hardware model —
     // microarchitectural non-determinism is what attackers exploit.
     let l = Litmus::parse("W x; R x").unwrap();
-    for arch in l.consistent_executions(&lcm::core::mcm::Tso) {
+    for arch in l.consistent_executions(presets::tso()) {
         // Rebuild closure: reconstruct the same arch execution with given
         // microarch edges. (Single-threaded: rf/co are forced, so a fresh
         // build with the same ops reproduces them.)
@@ -107,7 +94,8 @@ fn consistent_executions_of_litmus_programs_have_detectable_witness_space() {
         if arch.rf().pairs().count() < 2 {
             continue; // only consider the forwarding outcome
         }
-        let witnesses = microarch_witnesses(&make(&[], &[]), &PermitAll, &make);
+        let permit_all = CatModel::parse("permit-all", "empty(0)").unwrap();
+        let witnesses = microarch_witnesses(&make(&[], &[]), &permit_all, &make);
         let leaky = witnesses.iter().filter(|x| !interference_free(x)).count();
         assert!(leaky >= 1, "a deviating witness exists");
         let clean = witnesses.iter().filter(|x| interference_free(x)).count();
