@@ -627,7 +627,7 @@ enum FrameRead {
     Line(String),
     /// Clean end of stream (or an unrecoverable read error).
     Eof,
-    /// A frame exceeded [`wire::MAX_FRAME`]; its bytes were discarded
+    /// A frame exceeded the configured `max_frame`; its bytes were discarded
     /// up to the next newline and the connection is still usable.
     Oversized,
     /// The server is shutting down.
@@ -664,7 +664,9 @@ impl FrameReader {
                 let mut line = std::mem::replace(&mut self.buf, rest);
                 line.pop(); // the newline
                 self.scanned = 0;
-                if oversized {
+                // A whole frame can arrive in one read, before the size
+                // check below ever sees it.
+                if oversized || line.len() > shared.config.max_frame {
                     return FrameRead::Oversized;
                 }
                 return FrameRead::Line(String::from_utf8_lossy(&line).into_owned());

@@ -339,6 +339,43 @@ fn v2_decoder_survives_malformed_frames() {
     let _ = std::fs::remove_file(&fifo);
 }
 
+/// A frame over `max_frame` is rejected even when all of it arrives in
+/// one read, and the v2 connection stays usable.
+#[test]
+fn oversized_frame_in_one_write_is_rejected() {
+    let socket = temp_socket("v2o");
+    let mut config = ServeConfig::new(&socket);
+    config.max_frame = 1024;
+    let handle = Server::spawn(config).unwrap();
+    let client = Client::new(&socket);
+    let mut conn = client.connect().unwrap();
+    let good = conn
+        .send_analyze(&victim_source(0), EngineKind::Pht)
+        .unwrap();
+    assert_eq!(conn.recv().unwrap().0, good);
+
+    // A 2,000-byte frame, newline included, in a single write.
+    let frame = format!(
+        "{{\"cmd\":\"analyze\",\"id\":92,\"source\":\"{}\"}}\n",
+        "x".repeat(1962)
+    );
+    assert_eq!(frame.len(), 2000);
+    conn.send_line(&frame).unwrap();
+    let v = lcm_core::jsonw::parse(conn_recv_raw(&mut conn).trim()).unwrap();
+    let err = v.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(err.contains("frame too large"), "{v:?}");
+
+    let id = conn
+        .send_analyze(&victim_source(1), EngineKind::Pht)
+        .unwrap();
+    let (rid, reply) = conn.recv().unwrap();
+    assert_eq!(rid, id);
+    assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true));
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 /// Reads one raw reply line from a v2 connection (test helper for
 /// replies that may not carry an id).
 fn conn_recv_raw(conn: &mut lcm_serve::Connection) -> String {
