@@ -48,7 +48,7 @@ use crate::build::Saeg;
 /// differential test suite; any value other than `0` disables.
 pub const DISABLE_PREFILTER_ENV: &str = "LCM_DISABLE_PREFILTER";
 
-/// `true` when [`DISABLE_PREFILTER_ENV`] is set in the environment.
+/// `true` when `LCM_DISABLE_PREFILTER` is set in the environment.
 pub fn prefilter_disabled_by_env() -> bool {
     std::env::var_os(DISABLE_PREFILTER_ENV).is_some_and(|v| v != "0")
 }
@@ -61,7 +61,7 @@ pub fn prefilter_disabled_by_env() -> bool {
 /// disables.
 pub const DISABLE_INCREMENTAL_ENV: &str = "LCM_DISABLE_INCREMENTAL";
 
-/// `true` when [`DISABLE_INCREMENTAL_ENV`] is set in the environment.
+/// `true` when `LCM_DISABLE_INCREMENTAL` is set in the environment.
 pub fn incremental_disabled_by_env() -> bool {
     std::env::var_os(DISABLE_INCREMENTAL_ENV).is_some_and(|v| v != "0")
 }
@@ -227,7 +227,7 @@ pub struct Feasibility {
 impl Feasibility {
     /// Builds the path-constraint formula for the S-AEG's A-CFG, with
     /// the reachability pre-screen enabled (unless
-    /// [`DISABLE_PREFILTER_ENV`] is set).
+    /// `LCM_DISABLE_PREFILTER` is set).
     pub fn new(saeg: &Saeg) -> Self {
         Self::with_prefilter(saeg, true)
     }

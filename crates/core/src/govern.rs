@@ -5,9 +5,9 @@
 //! [`ResourceGovernor`] reproduces that discipline for the whole
 //! pipeline: one governor per analyzed function carries the configured
 //! [`Budgets`] (deadline, solver-conflict budget, S-AEG size budget)
-//! plus any armed [`FaultPlan`](crate::fault::FaultPlan) sites, and the
-//! pipeline polls it at cheap points — engine loop heads, feasibility
-//! queries, phase boundaries.
+//! plus any armed [`FaultPlan`] sites, and the pipeline polls it at
+//! cheap points — engine loop heads, feasibility queries, phase
+//! boundaries.
 //!
 //! Degradation is *sticky and first-wins*: the first exceeded budget
 //! (or injected fault) trips the governor with a typed
@@ -224,7 +224,7 @@ impl ResourceGovernor {
     }
 
     /// Strided poll for hot loops: checks the deadline (and the
-    /// `timeout` fault site) every [`POLL_STRIDE`] calls. Returns false
+    /// `timeout` fault site) every `POLL_STRIDE` calls. Returns false
     /// once tripped — callers break out of their loop.
     #[inline]
     pub fn poll(&self) -> bool {

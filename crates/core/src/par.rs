@@ -74,7 +74,7 @@ where
 /// thread calls `init` once before claiming its first item and passes
 /// the state mutably to every `f` call it makes. This is the carrier
 /// for intra-function work splitting with a persistent incremental SAT
-/// solver — `init` clones one encoded [`Feasibility`]-like context per
+/// solver — `init` clones one encoded `Feasibility`-like context per
 /// worker and `f` reuses it (learnt clauses, memo) across all the work
 /// units that worker drains.
 ///

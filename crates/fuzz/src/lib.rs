@@ -11,7 +11,7 @@
 //! * [`oracle`] — a bounded-exhaustive speculative oracle deciding
 //!   two-run secret non-interference concretely, run as a speculation
 //!   hook on the one IR interpreter (`lcm_ir::interp`);
-//! * [`shrink`] — a greedy AST minimizer for failing programs;
+//! * [`mod@shrink`] — a greedy AST minimizer for failing programs;
 //! * [`diff`] — the harness: engine-vs-oracle cross-checking, `repair()`
 //!   re-verification, and a SAT-backed fence-minimality certificate.
 

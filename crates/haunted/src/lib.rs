@@ -213,7 +213,7 @@ fn degraded_report(name: &str, reason: String) -> HauntedReport {
 /// The analysis runs in three timed phases:
 ///
 /// 1. **path enumeration** — the 2^branches architectural walk, into a
-///    flat arena ([`PathSet`]) instead of one `Vec` per path;
+///    flat arena (`PathSet`) instead of one `Vec` per path;
 /// 2. **relational execution** — per-path transient forking (PHT) or
 ///    bypass-pair enumeration (STL), producing *candidate* instructions;
 ///    paths are independent, so with `jobs > 1` they are split across

@@ -299,7 +299,7 @@ impl<T> Strategy for Union<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// An inclusive length range for [`vec`].
+    /// An inclusive length range for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -334,7 +334,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
