@@ -799,41 +799,6 @@ mod tests {
     }
 
     #[test]
-    fn preset_tso_matches_builtin_on_sb() {
-        let cat_tso = CatModel::parse("TSO", presets::TSO).unwrap();
-        let cat_sc = CatModel::parse("SC", presets::SC).unwrap();
-        let x = sb();
-        assert!(cat_tso.check(&x).is_ok(), "SB allowed under cat-TSO");
-        assert!(cat_sc.check(&x).is_err(), "SB forbidden under cat-SC");
-    }
-
-    #[test]
-    fn preset_names() {
-        let names: Vec<&str> = [
-            sc(),
-            tso(),
-            x86_lcm(),
-            naive_tso_lift(),
-            silent_store_lcm(),
-            psf_lcm(),
-        ]
-        .iter()
-        .map(|m| m.name())
-        .collect();
-        assert_eq!(
-            names,
-            [
-                "SC",
-                "TSO",
-                "x86-LCM",
-                "naive-sc_per_loc_x",
-                "silent-store-LCM",
-                "psf-LCM"
-            ]
-        );
-    }
-
-    #[test]
     fn silent_store_rejected_by_x86_allowed_by_silent_lcm() {
         let mut b = ExecutionBuilder::new();
         let w1 = b.write("x");
