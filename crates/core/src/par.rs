@@ -72,18 +72,17 @@ where
 
 /// Like [`map_indexed`], but with **per-worker state**: each worker
 /// thread calls `init` once before claiming its first item and passes
-/// the state mutably to every `f` call it makes. This is the carrier
-/// for intra-function work splitting with a persistent incremental SAT
-/// solver — `init` clones one encoded `Feasibility`-like context per
-/// worker and `f` reuses it (learnt clauses, memo) across all the work
-/// units that worker drains.
+/// the state mutably to every `f` call it makes. The haunted baseline's
+/// path split is its one caller: `init` builds a per-worker oracle and
+/// scratch, which `f` reuses across the paths that worker drains. The
+/// Clou engines do not split a function; their unit of parallel work is
+/// the function, through [`map_indexed_catch`].
 ///
 /// Determinism contract: results are reassembled in input order, so as
 /// long as `f(i, item)`'s *return value* does not depend on the worker
-/// state's history (the solver answers are semantic; learnt clauses
-/// change only the search path), output is byte-identical for any job
-/// count. `jobs <= 1` (or a single item) runs serially on the caller
-/// thread with one state, exactly like a plain loop.
+/// state's history, output is byte-identical for any job count.
+/// `jobs <= 1` (or a single item) runs serially on the caller thread
+/// with one state, exactly like a plain loop.
 ///
 /// # Panics
 ///
