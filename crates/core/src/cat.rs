@@ -64,6 +64,7 @@
 //! assert_eq!(presets::sc().check(&x).unwrap_err().axiom, "sc");
 //! ```
 
+use std::collections::HashMap;
 use std::fmt;
 
 use lcm_relalg::Relation;
@@ -160,6 +161,7 @@ impl CatModel {
             pos: 0,
             open: 0,
             defs: Vec::new(),
+            latest: HashMap::new(),
         };
         let mut clauses = Vec::new();
         loop {
@@ -338,6 +340,8 @@ struct Parser<'s> {
     /// Parentheses open around the current position.
     open: usize,
     defs: Vec<(String, Expr)>,
+    /// Each name's latest definition, as an index into `defs`.
+    latest: HashMap<String, usize>,
 }
 
 impl<'s> Parser<'s> {
@@ -412,6 +416,7 @@ impl<'s> Parser<'s> {
             return self.err("expected `=`");
         }
         let (e, _) = self.parse_expr()?;
+        self.latest.insert(name.clone(), self.defs.len());
         self.defs.push((name, e));
         Ok(())
     }
@@ -543,7 +548,7 @@ impl<'s> Parser<'s> {
             return Ok((Expr::Id, 1));
         }
         // The latest definition of a name wins.
-        if let Some(i) = self.defs.iter().rposition(|(n, _)| *n == name) {
+        if let Some(&i) = self.latest.get(&name) {
             return Ok((Expr::Def(i), 1));
         }
         match BASE.iter().position(|(b, _)| *b == name) {
@@ -932,6 +937,25 @@ mod tests {
         // The cap is far above what real models need.
         let ok = format!("acyclic({}po{})", "(".repeat(200), ")".repeat(200));
         assert!(CatModel::parse("ok", &ok).unwrap().check(&sb()).is_ok());
+    }
+
+    #[test]
+    fn long_let_chains_parse_in_linear_time() {
+        // 100,000 definitions, each naming the one before it and a
+        // base relation, which is looked up after the definitions:
+        // `r99999` is `po`. Each name costs one hash probe.
+        let n = 100_000;
+        let mut spec = String::from("let r0 = po");
+        for i in 1..n {
+            spec += &format!(" && let r{i} = r{} & po", i - 1);
+        }
+        spec += &format!(" && acyclic(r{} | com) as sc", n - 1);
+        let m = CatModel::parse("chain", &spec).unwrap();
+        assert_eq!(m.check(&sb()).unwrap_err().axiom, "sc");
+        // A redefinition shadows the earlier one, which its own body
+        // may still name.
+        let m = CatModel::parse("t", "let r = 0 && let r = r | po && acyclic(r | com) as sc");
+        assert_eq!(m.unwrap().check(&sb()).unwrap_err().axiom, "sc");
     }
 
     #[test]
