@@ -250,11 +250,12 @@ fn main() {
     let sweep_secs = sweep_start.elapsed().as_secs_f64();
     println!(
         "\nsweep: {} programs in {sweep_secs:.2}s — {} spec-leaky, {} secure, {} mismatches, \
-         {}/{} repairs clean, {}/{} minimality certified",
+         {} inconclusive, {}/{} repairs clean, {}/{} minimality certified",
         report.programs,
         report.spec_leaky,
         report.secure,
         report.mismatches.len(),
+        report.inconclusive,
         report.repairs_clean,
         report.repairs_checked,
         report.minimality_certified,
@@ -297,6 +298,7 @@ fn main() {
                 Json::Arr(report.engine_flagged.iter().map(|&n| num(n)).collect()),
             ),
             ("overapprox".into(), Json::Num(report.overapprox as f64)),
+            ("inconclusive".into(), Json::Num(report.inconclusive as f64)),
             ("mismatches".into(), num(report.mismatches.len())),
             ("repairs_checked".into(), num(report.repairs_checked)),
             ("repairs_clean".into(), num(report.repairs_clean)),
@@ -312,6 +314,7 @@ fn main() {
         ]);
         let doc = Json::Obj(vec![
             ("bench".into(), Json::Str("fuzz".into())),
+            ("nproc".into(), Json::Num(effective_jobs(0) as f64)),
             ("jobs".into(), Json::Num(jobs as f64)),
             ("budget_ms".into(), Json::Num(budget_ms as f64)),
             (
