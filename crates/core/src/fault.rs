@@ -78,6 +78,18 @@ pub mod site {
     /// and redelivery.
     pub const FLEET_TASK_TORN: &str = "fleet.task_torn";
 
+    /// The sites that degrade a function's detector analysis; the
+    /// others fire in the result store, the server or the fleet.
+    pub const DETECTOR: &[&str] = &[
+        TIMEOUT,
+        CONFLICT_BUDGET,
+        NODE_BUDGET,
+        EDGE_BUDGET,
+        MALFORMED_IR,
+        WORKER_PANIC,
+        SOLVER_ABORT,
+    ];
+
     /// All site names, for validation and the CI matrix.
     pub const ALL: &[&str] = &[
         TIMEOUT,

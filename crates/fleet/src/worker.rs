@@ -2,7 +2,7 @@
 //!
 //! A worker is a child process speaking [`crate::proto`] over its
 //! stdin/stdout: it receives a module's source, compiles it, then
-//! analyzes one function per task with a serial (`jobs = 1`) detector.
+//! analyzes one function per task on one thread.
 //! Analysis panics are caught and shipped back as the same
 //! `WorkerPanic` degradation the in-process `map_indexed_catch` path
 //! produces — crash isolation changes *where* a panic is caught, never

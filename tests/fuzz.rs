@@ -21,17 +21,7 @@ fn env_faults_armed() -> bool {
 /// generated program's only function, `victim`.
 fn env_detector_fault_armed() -> bool {
     let plan = FaultPlan::from_env();
-    [
-        site::TIMEOUT,
-        site::CONFLICT_BUDGET,
-        site::NODE_BUDGET,
-        site::EDGE_BUDGET,
-        site::MALFORMED_IR,
-        site::WORKER_PANIC,
-        site::SOLVER_ABORT,
-    ]
-    .iter()
-    .any(|s| plan.fires(s, 0))
+    site::DETECTOR.iter().any(|s| plan.fires(s, 0))
 }
 
 /// The oracle's work and verdict tallies over a fixed generated batch,
