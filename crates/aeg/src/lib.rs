@@ -2,9 +2,10 @@
 //!
 //! An S-AEG over-approximates all candidate executions of one function's
 //! A-CFG. Nodes are the function's memory events; the symbolic part —
-//! which-path, which-speculation, which-aliasing — is encoded as
-//! constraints over boolean variables discharged by [`lcm_sat`] (the Z3
-//! substitute; see DESIGN.md).
+//! which-path, which-speculation, which-aliasing — is decided by the
+//! engines' queries over block reachability, the alias oracle and the
+//! speculative windows (the paper discharges it with Z3; see
+//! DESIGN.md).
 //!
 //! This crate computes everything the leakage detection engines (crate
 //! `lcm-detect`) consume:
@@ -15,8 +16,8 @@
 //!   `(data.rf)*.addr` generalization ([`deps`]),
 //! * attacker-control taint (§5.3) ([`taint`]),
 //! * speculative windows per branch, fence-aware ([`Saeg::spec_window`]),
-//! * a SAT encoding of architectural path feasibility
-//!   ([`Feasibility`]).
+//! * architectural path feasibility, decided exactly by block
+//!   reachability over the acyclic A-CFG ([`Feasibility`]).
 //!
 //! # Examples
 //!
@@ -44,6 +45,4 @@ mod build;
 mod reach;
 
 pub use build::{BranchInfo, EventId, EventKind, MemEvent, Saeg};
-pub use reach::{
-    incremental_disabled_by_env, prefilter_disabled_by_env, FeasStats, Feasibility, WitnessSeed,
-};
+pub use reach::{FeasStats, Feasibility, WitnessSeed};

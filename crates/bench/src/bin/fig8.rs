@@ -3,12 +3,11 @@
 //! plus a log-log summary by size bucket.
 //!
 //! Usage: `cargo run --release -p lcm-bench --bin fig8 -- [--big]
-//! [--jobs N] [--json PATH] [--timeout-ms N] [--max-conflicts N]
+//! [--jobs N] [--json PATH] [--timeout-ms N]
 //! [--cache-dir DIR] [--no-cache] [--trace-out PATH]
 //! [--metrics-out PATH]`
 //!
-//! `--timeout-ms` / `--max-conflicts` set per-function analysis budgets;
-//! points whose analysis degrades are listed at the end and the exit
+//! `--timeout-ms` sets a per-function analysis budget; points whose analysis degrades are listed at the end and the exit
 //! status is 1. `--cache-dir DIR` serves unchanged functions from the
 //! content-addressed result store (both engines must hit for a point to
 //! skip its S-AEG build); `--no-cache` runs cold.

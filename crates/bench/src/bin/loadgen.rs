@@ -20,10 +20,9 @@
 //! server on a temp socket (workers from `--jobs`, cache from
 //! `--cache-dir` or a temp dir, worker *processes* from `--fleet N`)
 //! and shuts it down at exit — the normal way to run it, and what CI's
-//! smoke step does. In fleet mode the report ends with fleet-wide
-//! solver-latency percentiles, aggregated from the metric deltas every
-//! worker shipped back to the supervisor; `--metrics-out PATH` dumps
-//! the merged registry as JSON:
+//! smoke step does. `--metrics-out PATH` dumps the registry as JSON; in
+//! fleet mode it includes the metric deltas every worker shipped back
+//! to the supervisor:
 //!
 //! ```text
 //! loadgen --mode pipeline --requests 64 --depth 8 --mix warm \
@@ -511,7 +510,6 @@ fn main() {
     }
 
     // Tear down the self-spawned server before judging assertions.
-    let self_spawned = spawned.is_some();
     if let Some((handle, socket)) = spawned {
         let _ = Client::new(&socket).shutdown();
         let _ = handle.join();
@@ -520,29 +518,6 @@ fn main() {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    // Fleet-wide daemon-side percentiles: with `--fleet N`, solver
-    // calls ran inside worker *processes*; their metric deltas rode
-    // each result frame and the supervisor folded them into this
-    // process's global registry, so these quantiles aggregate every
-    // worker. Only meaningful for the self-spawned server (a remote
-    // daemon's registry is not ours to read).
-    if self_spawned && args.fleet > 0 {
-        let hist = lcm_obs::metrics::global().histogram(
-            lcm_obs::metrics::names::SOLVE_LATENCY,
-            "Wall-clock latency of SAT solver calls (screened and memoized queries never reach here)",
-            latency_buckets(),
-        );
-        let snap = hist.snapshot();
-        let ms = |v: Option<f64>| v.map_or("-".to_string(), |s| format!("{:.3}", s * 1e3));
-        println!(
-            "fleet-wide solver latency ({} workers, {} observations): p50 {} ms, p90 {} ms, p99 {} ms",
-            args.fleet,
-            snap.count,
-            ms(snap.quantile(0.50)),
-            ms(snap.quantile(0.90)),
-            ms(snap.quantile(0.99)),
-        );
-    }
     args.finish_metrics();
 
     let mut failed = false;

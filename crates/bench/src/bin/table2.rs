@@ -2,7 +2,7 @@
 //! and transmitter counts.
 //!
 //! Usage: `cargo run --release -p lcm-bench --bin table2 -- [--quick]
-//! [--repair] [--jobs N] [--json PATH] [--timeout-ms N] [--max-conflicts N]
+//! [--repair] [--jobs N] [--json PATH] [--timeout-ms N]
 //! [--cache-dir DIR] [--no-cache] [--trace-out PATH] [--fleet N]
 //! [--metrics-out PATH] [--events-out PATH]`
 //!
@@ -12,8 +12,8 @@
 //! initially-detected leakage is mitigated). `--jobs N` sets the worker
 //! thread count (0/omitted = all cores, 1 = serial; the table is
 //! identical either way) and `--json PATH` writes the machine-readable
-//! run record. `--timeout-ms` / `--max-conflicts` set per-function
-//! analysis budgets; functions that trip one are reported as degraded
+//! run record. `--timeout-ms` sets a per-function analysis budget;
+//! functions that trip it are reported as degraded
 //! (their counts become a lower bound) and the exit status is 1.
 //! `--cache-dir DIR` routes every analysis through the content-addressed
 //! result store at `DIR/results.lcmstore`: a warm re-run on an unchanged

@@ -20,9 +20,6 @@ pub struct BenchArgs {
     /// `--timeout-ms N`: per-function wall-clock budget (0 or omitted =
     /// unlimited).
     pub timeout_ms: u64,
-    /// `--max-conflicts N`: per-function solver-conflict budget (0 or
-    /// omitted = unlimited).
-    pub max_conflicts: u64,
     /// `--cache-dir PATH`: directory holding the incremental result
     /// store (`results.lcmstore`); created if missing.
     pub cache_dir: Option<String>,
@@ -56,11 +53,10 @@ impl BenchArgs {
     }
 
     /// The per-function resource budgets these flags request
-    /// (unlimited when neither flag was given).
+    /// (unlimited without `--timeout-ms`).
     pub fn budgets(&self) -> Budgets {
         Budgets {
             timeout: (self.timeout_ms > 0).then(|| Duration::from_millis(self.timeout_ms)),
-            max_conflicts: (self.max_conflicts > 0).then_some(self.max_conflicts),
             ..Budgets::default()
         }
     }
@@ -149,13 +145,6 @@ pub fn parse(args: impl Iterator<Item = String>) -> BenchArgs {
                 .next()
                 .unwrap_or_else(|| die("--timeout-ms needs a value"));
             out.timeout_ms = parse_num(&v, "--timeout-ms");
-        } else if let Some(v) = a.strip_prefix("--max-conflicts=") {
-            out.max_conflicts = parse_num(v, "--max-conflicts");
-        } else if a == "--max-conflicts" {
-            let v = args
-                .next()
-                .unwrap_or_else(|| die("--max-conflicts needs a value"));
-            out.max_conflicts = parse_num(&v, "--max-conflicts");
         } else if let Some(v) = a.strip_prefix("--cache-dir=") {
             out.cache_dir = Some(v.to_string());
         } else if a == "--cache-dir" {
@@ -253,12 +242,10 @@ mod tests {
 
     #[test]
     fn budget_flags_parse_and_build_budgets() {
-        let a = args(&["--timeout-ms", "500", "--max-conflicts=10000"]);
+        let a = args(&["--timeout-ms", "500"]);
         assert_eq!(a.timeout_ms, 500);
-        assert_eq!(a.max_conflicts, 10000);
         let b = a.budgets();
         assert_eq!(b.timeout, Some(Duration::from_millis(500)));
-        assert_eq!(b.max_conflicts, Some(10000));
         assert_eq!(b.max_saeg_nodes, None);
         // Omitted flags mean unlimited.
         assert!(args(&[]).budgets().is_unlimited());

@@ -82,11 +82,10 @@ impl RunSummary {
 
 fn timings_obj(t: &PhaseTimings) -> String {
     format!(
-        "{{\"acfg_build_secs\": {}, \"saeg_build_secs\": {}, \"encode_secs\": {}, \"solve_secs\": {}, \"classify_secs\": {}, \"baseline_secs\": {}, \"bh_enumerate_secs\": {}, \"bh_execute_secs\": {}, \"bh_witness_secs\": {}, \"cache_secs\": {}, \"other_secs\": {}, \"sat_queries\": {}, \"memo_hits\": {}, \"queries_avoided\": {}, \"prefilter_hits\": {}, \"solver_reuses\": {}, \"clauses_retained\": {}, \"cache_hits\": {}}}",
+        "{{\"acfg_build_secs\": {}, \"saeg_build_secs\": {}, \"encode_secs\": {}, \"classify_secs\": {}, \"baseline_secs\": {}, \"bh_enumerate_secs\": {}, \"bh_execute_secs\": {}, \"bh_witness_secs\": {}, \"cache_secs\": {}, \"other_secs\": {}, \"queries_avoided\": {}, \"prefilter_hits\": {}, \"cache_hits\": {}}}",
         secs(t.acfg_build),
         secs(t.saeg_build),
         secs(t.encode),
-        secs(t.solve),
         secs(t.classify),
         secs(t.baseline),
         secs(t.bh_enumerate),
@@ -94,12 +93,8 @@ fn timings_obj(t: &PhaseTimings) -> String {
         secs(t.bh_witness),
         secs(t.cache),
         secs(t.other),
-        t.sat_queries,
-        t.memo_hits,
         t.queries_avoided,
         t.prefilter_hits,
-        t.solver_reuses,
-        t.clauses_retained,
         t.cache_hits,
     )
 }

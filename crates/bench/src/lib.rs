@@ -7,8 +7,7 @@
 //!   the synthetic library, S-AEG node count vs serial runtime for both
 //!   Clou engines.
 //!
-//! The binaries `table2` and `fig8` print these; the criterion benches
-//! measure the same computations.
+//! The binaries `table2` and `fig8` print these.
 //!
 //! Every entry point takes a `jobs` knob (0 = all cores, 1 = exact
 //! serial) threaded down to [`lcm_core::par::map_indexed`]; results are
@@ -278,8 +277,8 @@ pub fn suite_rows(
 
 /// Computes every row of the Table 2 analogue.
 ///
-/// `quick` skips the two synthetic-library workloads (used by the
-/// criterion bench to keep iterations short). `jobs` is the worker
+/// `quick` skips the two synthetic-library workloads (`table2 --quick`,
+/// the CI smoke runs). `jobs` is the worker
 /// thread count (0 = all cores, 1 = serial); rows are identical either
 /// way.
 pub fn table2_rows(
@@ -528,7 +527,7 @@ mod tests {
     fn litmus_rows_have_all_tools() {
         // Restricted to the litmus suites: fast enough under the debug
         // profile. The crypto + synthetic workloads run in the binaries
-        // and criterion benches (release profile).
+        // (release profile).
         let mut rows = Vec::new();
         for (suite, benches) in all_litmus() {
             rows.extend(suite_rows(
@@ -592,10 +591,10 @@ mod tests {
             assert_eq!(c.counts, w.counts);
             assert_eq!(c.pfun, w.pfun);
         }
-        // Warm Clou rows never ran an engine: zero SAT queries, zero
-        // graph builds — the cache bucket is the only phase with time.
+        // Warm Clou rows never ran an engine: zero feasibility queries,
+        // zero graph builds — the cache bucket is the only phase with time.
         let warm_clou = &warm[0];
-        assert_eq!(warm_clou.timings.sat_queries, 0);
+        assert_eq!(warm_clou.timings.queries_avoided, 0);
         assert_eq!(warm_clou.timings.cache_hits as usize, warm_clou.pfun);
         std::fs::remove_file(&path).ok();
     }

@@ -39,7 +39,7 @@ pub mod site {
     pub const MALFORMED_IR: &str = "malformed_ir";
     /// Panics inside the worker thread (exercises `catch_unwind`).
     pub const WORKER_PANIC: &str = "worker_panic";
-    /// Makes the SAT backend report an abort (models a solver
+    /// Aborts the next feasibility query (models a solver
     /// `unknown`/resource-out that is not attributable to our budgets).
     pub const SOLVER_ABORT: &str = "solver_abort";
     /// Corrupts the `index`-th record appended to the result store

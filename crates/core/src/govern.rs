@@ -4,7 +4,7 @@
 //! wall-clock timeout and still reports the functions that finish. The
 //! [`ResourceGovernor`] reproduces that discipline for the whole
 //! pipeline: one governor per analyzed function carries the configured
-//! [`Budgets`] (deadline, solver-conflict budget, S-AEG size budget)
+//! [`Budgets`] (deadline, S-AEG size budget)
 //! plus any armed [`FaultPlan`] sites, and the pipeline polls it at
 //! cheap points — engine loop heads, feasibility queries, phase
 //! boundaries.
@@ -30,7 +30,8 @@ use crate::fault::{site, FaultPlan};
 /// Which budget a [`AnalysisError::BudgetExceeded`] refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetKind {
-    /// Total SAT-solver conflicts across the function's queries.
+    /// Solver conflicts. No solver answers detection queries, so only
+    /// the `conflict_budget` fault site reports this kind.
     SolverConflicts,
     /// S-AEG event count after construction.
     SaegNodes,
@@ -63,8 +64,9 @@ pub enum AnalysisError {
     MalformedIr { message: String },
     /// The worker thread analyzing this function panicked.
     WorkerPanic { message: String },
-    /// The SAT backend aborted a query for a reason not attributable
-    /// to our own budgets.
+    /// A feasibility query was aborted for a reason not attributable
+    /// to our own budgets (only the `solver_abort` fault site reports
+    /// it).
     SolverAbort,
 }
 
@@ -96,8 +98,6 @@ impl std::error::Error for AnalysisError {}
 pub struct Budgets {
     /// Wall-clock deadline per function.
     pub timeout: Option<Duration>,
-    /// Total solver conflicts per function (summed over its queries).
-    pub max_conflicts: Option<u64>,
     /// S-AEG event-count ceiling, checked once after construction.
     pub max_saeg_nodes: Option<usize>,
     /// S-AEG dependency-edge ceiling, checked once after construction.
@@ -112,10 +112,7 @@ impl Budgets {
 
     /// True when no budget is set.
     pub fn is_unlimited(&self) -> bool {
-        self.timeout.is_none()
-            && self.max_conflicts.is_none()
-            && self.max_saeg_nodes.is_none()
-            && self.max_saeg_edges.is_none()
+        self.timeout.is_none() && self.max_saeg_nodes.is_none() && self.max_saeg_edges.is_none()
     }
 }
 
@@ -129,22 +126,18 @@ fn governor_trips() -> &'static lcm_obs::metrics::Counter {
     C.get_or_init(|| {
         lcm_obs::metrics::global().counter(
             lcm_obs::metrics::names::GOVERNOR_TRIPS,
-            "Resource-governor budget trips (timeouts, conflict/node/edge budgets, injected faults)",
+            "Resource-governor budget trips (timeouts, node/edge budgets, injected faults)",
         )
     })
 }
 
-/// One per analyzed function; shared across the solver/AEG/engine
-/// layers via `Arc`. All state is atomic, so polling needs no lock.
+/// One per analyzed function; shared across the AEG/engine layers via
+/// `Arc`. All state is atomic, so polling needs no lock.
 #[derive(Debug)]
 pub struct ResourceGovernor {
     start: Instant,
     deadline: Option<Instant>,
     budgets: Budgets,
-    /// Solver conflicts charged so far via [`charge_conflicts`].
-    ///
-    /// [`charge_conflicts`]: ResourceGovernor::charge_conflicts
-    conflicts_used: AtomicU64,
     /// Strided-poll counter (see [`POLL_STRIDE`]).
     polls: AtomicU64,
     /// Fast path: set once the governor has tripped.
@@ -166,7 +159,6 @@ impl ResourceGovernor {
             start,
             deadline: budgets.timeout.map(|t| start + t),
             budgets,
-            conflicts_used: AtomicU64::new(0),
             polls: AtomicU64::new(0),
             dead: AtomicBool::new(false),
             error: Mutex::new(None),
@@ -262,43 +254,6 @@ impl ResourceGovernor {
         true
     }
 
-    /// Trips with the timeout error; used when a lower layer (e.g. the
-    /// SAT backend) observed the deadline pass itself.
-    pub fn trip_timeout(&self) {
-        self.trip(self.timeout_error());
-    }
-
-    /// Conflicts the solver may still spend, if a budget is set.
-    pub fn remaining_conflicts(&self) -> Option<u64> {
-        self.budgets
-            .max_conflicts
-            .map(|max| max.saturating_sub(self.conflicts_used.load(Ordering::Relaxed)))
-    }
-
-    /// The absolute deadline, if a timeout is configured.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Charges `n` solver conflicts against the budget; trips (and
-    /// returns false) once the budget is strictly exceeded.
-    #[inline]
-    pub fn charge_conflicts(&self, n: u64) -> bool {
-        if !self.active {
-            return self.ok();
-        }
-        let used = self.conflicts_used.fetch_add(n, Ordering::Relaxed) + n;
-        if let Some(max) = self.budgets.max_conflicts {
-            if used > max {
-                self.trip(AnalysisError::BudgetExceeded {
-                    kind: BudgetKind::SolverConflicts,
-                });
-                return false;
-            }
-        }
-        self.ok()
-    }
-
     /// Post-construction S-AEG size check (and the `node_budget` /
     /// `edge_budget` fault sites). Returns false once tripped.
     #[inline]
@@ -342,7 +297,6 @@ mod tests {
             assert!(gov.poll());
         }
         assert!(gov.poll_now());
-        assert!(gov.charge_conflicts(u64::MAX / 2));
         assert!(gov.check_saeg(usize::MAX, usize::MAX));
         assert!(gov.tripped().is_none());
     }
@@ -368,24 +322,6 @@ mod tests {
         // fetch_add returns 0 on the first call, so the very first
         // strided poll already consults the clock.
         assert!(!gov.poll());
-    }
-
-    #[test]
-    fn conflict_budget_trips_when_exceeded() {
-        let budgets = Budgets {
-            max_conflicts: Some(10),
-            ..Budgets::default()
-        };
-        let gov = ResourceGovernor::new(budgets, &FaultPlan::default(), 0);
-        assert!(gov.charge_conflicts(10)); // exactly at budget: fine
-        assert_eq!(gov.remaining_conflicts(), Some(0));
-        assert!(!gov.charge_conflicts(1));
-        assert_eq!(
-            gov.tripped(),
-            Some(AnalysisError::BudgetExceeded {
-                kind: BudgetKind::SolverConflicts
-            })
-        );
     }
 
     #[test]

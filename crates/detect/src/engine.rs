@@ -1,8 +1,8 @@
 //! The leakage detection engines (§5.3).
 //!
-//! Functions are independent analysis units (each gets its own S-AEG,
-//! CNF, and solver), and the function is the only unit of parallel
-//! work: [`Detector::analyze_module`] fans functions out over
+//! Functions are independent analysis units (each gets its own S-AEG
+//! and feasibility checker), and the function is the only unit of
+//! parallel work: [`Detector::analyze_module`] fans functions out over
 //! [`DetectorConfig::jobs`] [`lcm_core::par`] worker threads, and each
 //! function's engine runs on the one thread that claimed it. Results
 //! come back in module order, so reports and counters are byte-identical
@@ -12,11 +12,10 @@
 //! [`EngineKind`], over a sequence of work units ((branch, direction)
 //! pairs for PHT, loads for STL/PSF). Each unit starts and ends with an
 //! empty assumption stack, and the engines drive the function's
-//! [`Feasibility`] solver through that stack (`mark`/`push`/`truncate`)
-//! instead of cloning request vectors per candidate chain; the solver
-//! underneath is persistent and incremental across the whole function
-//! unless [`DetectorConfig::disable_incremental`] opts into the
-//! fresh-solver-per-query oracle mode.
+//! [`Feasibility`] checker through that stack (`mark`/`push_*`/
+//! `truncate`) instead of cloning request vectors per candidate chain.
+//! Every stack holds required blocks plus at most one branch decision,
+//! which block reachability decides exactly.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,42 +69,22 @@ impl EngineKind {
 fn absorb_feas_stats(st: &lcm_aeg::FeasStats) {
     use lcm_obs::metrics::{global, names, Counter};
     use std::sync::OnceLock;
-    static HANDLES: OnceLock<[Counter; 6]> = OnceLock::new();
-    let [queries, memo, avoided, prefilter, reuses, retained] = HANDLES.get_or_init(|| {
+    static HANDLES: OnceLock<[Counter; 2]> = OnceLock::new();
+    let [avoided, prefilter] = HANDLES.get_or_init(|| {
         let g = global();
         [
             g.counter(
-                names::SAT_QUERIES,
-                "Feasibility queries that reached the memo/solver layer",
-            ),
-            g.counter(
-                names::SAT_MEMO_HITS,
-                "Feasibility queries answered from the assumption-trie memo",
-            ),
-            g.counter(
                 names::SAT_QUERIES_AVOIDED,
-                "Feasibility queries answered by the reachability pre-screen",
+                "Feasibility queries answered from block reachability",
             ),
             g.counter(
                 names::SAT_PREFILTER_HITS,
                 "Engine-level candidate checks skipped by hoisted pre-screens",
             ),
-            g.counter(
-                names::SOLVER_REUSES,
-                "Solver calls served by an already-warm persistent solver",
-            ),
-            g.counter(
-                names::SAT_CLAUSES_RETAINED,
-                "Learnt clauses retained across solver calls",
-            ),
         ]
     });
-    queries.add(st.queries);
-    memo.add(st.memo_hits);
     avoided.add(st.queries_avoided);
     prefilter.add(st.prefilter_hits);
-    reuses.add(st.solver_reuses);
-    retained.add(st.clauses_retained);
 }
 
 /// Lazily memoized per-event steerability (the §5.3 taint filter):
@@ -179,24 +158,10 @@ pub struct DetectorConfig {
     /// spare workers idle. Findings and counters are identical at every
     /// value.
     pub jobs: usize,
-    /// Force-disables persistent incremental SAT: every solver-bound
-    /// feasibility query runs on a fresh clone of the pristine encoded
-    /// solver, so no learnt clause or heuristic state survives between
-    /// queries. Findings are identical either way (satisfiability is
-    /// semantic) — this is the fresh-solver oracle the differential
-    /// test suite compares against. Also reachable via the
-    /// `LCM_DISABLE_INCREMENTAL` environment variable.
-    pub disable_incremental: bool,
-    /// Force-disables the query-avoidance layer (the block-reachability
-    /// pre-screen in [`Feasibility`] and the engines' duplicate-block
-    /// fast paths), sending every feasibility question through the memo
-    /// and solver. Findings are identical either way — this exists for
-    /// the differential test suite and for debugging.
-    pub disable_prefilter: bool,
-    /// Per-function resource budgets (wall-clock deadline, solver
-    /// conflicts, S-AEG size). The default is unlimited; a function
-    /// exceeding a budget is reported `Degraded` instead of blocking
-    /// the module (Clou's §6 per-function-timeout discipline).
+    /// Per-function resource budgets (wall-clock deadline, S-AEG size).
+    /// The default is unlimited; a function exceeding a budget is
+    /// reported `Degraded` instead of blocking the module (Clou's §6
+    /// per-function-timeout discipline).
     pub budgets: Budgets,
     /// Armed fault-injection sites (tests only). Merged with the
     /// `LCM_FAULT` environment variable at analysis time.
@@ -214,8 +179,6 @@ impl Default for DetectorConfig {
             secret_filter: false,
             detect_interference: false,
             jobs: 0,
-            disable_incremental: false,
-            disable_prefilter: false,
             budgets: Budgets::default(),
             faults: FaultPlan::default(),
         }
@@ -461,7 +424,7 @@ impl Detector {
         self.analyze_saeg_timed(saeg, engine, None).0
     }
 
-    /// Engine run with the encode/solve/classify breakdown attached.
+    /// Engine run with the encode/classify breakdown attached.
     fn analyze_saeg_timed(
         &self,
         saeg: &Saeg,
@@ -472,10 +435,7 @@ impl Detector {
         let mut sp = lcm_obs::span("engine_run", "detect");
         sp.arg_str("fn", &saeg.fname);
         sp.arg_str("engine", engine.label());
-        let incremental =
-            !self.config.disable_incremental && !lcm_aeg::incremental_disabled_by_env();
-        let mut feas = Feasibility::with_prefilter(saeg, !self.config.disable_prefilter);
-        feas.set_incremental(incremental);
+        let mut feas = Feasibility::new(saeg);
         if let Some(g) = gov {
             feas.attach_governor(Arc::clone(g));
         }
@@ -487,23 +447,16 @@ impl Detector {
         if let Some(c) = self.config.target_class {
             raw.retain(|f| f.class == c);
         }
-        sp.arg_u64("sat_queries", st.queries);
         sp.arg_u64("queries_avoided", st.queries_avoided);
-        sp.arg_u64("solver_reuses", st.solver_reuses);
         sp.arg_u64("findings", raw.len() as u64);
         drop(sp);
         absorb_feas_stats(&st);
         let total = t0.elapsed();
         let timings = PhaseTimings {
             encode: st.encode,
-            solve: st.solve,
-            classify: total.saturating_sub(st.encode + st.solve),
-            sat_queries: st.queries,
-            memo_hits: st.memo_hits,
+            classify: total.saturating_sub(st.encode),
             queries_avoided: st.queries_avoided,
             prefilter_hits: st.prefilter_hits,
-            solver_reuses: st.solver_reuses,
-            clauses_retained: st.clauses_retained,
             ..PhaseTimings::default()
         };
         (raw, timings)
@@ -526,9 +479,6 @@ struct EngineRun<'a> {
     preds: DepPreds,
     loads: Vec<EventId>,
     stores: Vec<EventId>,
-    /// Whether the duplicate-block fast paths may answer checks without
-    /// consulting the solver layer at all.
-    pf: bool,
 }
 
 /// What a work unit's findings stem from.
@@ -577,7 +527,6 @@ impl<'a> EngineRun<'a> {
             ctrl,
             loads: saeg.loads().map(|e| e.id).collect(),
             stores: saeg.stores().map(|e| e.id).collect(),
-            pf: !config.disable_prefilter && !lcm_aeg::prefilter_disabled_by_env(),
         }
     }
 
@@ -613,19 +562,22 @@ impl<'a> EngineRun<'a> {
         pt >= pa && pt - pa <= self.config.window
     }
 
-    /// One candidate check: pushes the blocks' architectural literals
-    /// and asks whether the stack is still satisfiable. `unchanged` says
-    /// the pushes add nothing the verified stack did not already
-    /// require, so with the pre-filter on the answer is the previous
-    /// one — true — without consulting the solver layer. Returns the
+    /// One candidate check: requires the blocks to execute and asks
+    /// whether the stack is still feasible. `unchanged` says the pushes
+    /// add nothing the verified stack did not already require, so the
+    /// answer is the previous one — true — without a query. Returns the
     /// mark to truncate back to, or `None` (stack restored) when the
     /// candidate is infeasible.
     fn check(&self, feas: &mut Feasibility, blocks: &[BlockId], unchanged: bool) -> Option<usize> {
         let m = feas.mark();
+        debug_assert!(
+            !unchanged || blocks.iter().all(|&b| feas.requires(b)),
+            "an unchanged push must repeat a block already on the stack"
+        );
         for &b in blocks {
-            feas.push(feas.arch_lit(b));
+            feas.push_block(b);
         }
-        if self.pf && unchanged {
+        if unchanged {
             feas.note_prefilter_hit();
             return Some(m);
         }
@@ -647,15 +599,11 @@ impl<'a> EngineRun<'a> {
         br: &BranchInfo,
         mispredict_then: bool,
     ) {
-        let Some(dec) = feas.decision_lit(br.block) else {
-            return;
-        };
         // Architectural direction is the opposite of the mispredicted
         // fetch direction.
-        let arch_dir = if mispredict_then { !dec } else { dec };
         let base = feas.mark();
-        feas.push(feas.arch_lit(br.block));
-        feas.push(arch_dir);
+        feas.push_block(br.block);
+        feas.push_decision(br.block, !mispredict_then);
         if !feas.check_stack() {
             feas.truncate(base);
             return;
@@ -915,7 +863,7 @@ impl<'a> EngineRun<'a> {
 
     /// Builds one finding with a transient transmitter and a transient
     /// access (callers override the exceptions); the witness seed is
-    /// read off the current assumption stack — no solver call. The full
+    /// read off the current assumption stack. The full
     /// path is materialized lazily by [`Finding::witness_path`] when a
     /// witness is rendered.
     fn finding(

@@ -13,7 +13,8 @@
 //! Both engines search for rf-non-interference violations (§4.1) realised
 //! as transmitter patterns of Table 1, generalised with `(data.rf)*.addr`
 //! chains (§5.3), filtered by `addr_gep` (PHT only) and attacker taint,
-//! and checked for architectural path feasibility with the SAT solver.
+//! and checked for architectural path feasibility, which block
+//! reachability over the acyclic A-CFG decides exactly.
 //! [`repair`] inserts a minimal set of `lfence`s and the tests confirm
 //! re-analysis comes back clean.
 //!

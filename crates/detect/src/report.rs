@@ -87,12 +87,11 @@ pub struct PhaseTimings {
     pub acfg_build: Duration,
     /// S-AEG construction over the A-CFG.
     pub saeg_build: Duration,
-    /// CNF encoding of path feasibility (Fig. 7 edge formulas).
+    /// Building the block-reachability closure that decides path
+    /// feasibility (the paper encodes Fig. 7's edge formulas here).
     pub encode: Duration,
-    /// Time inside the SAT solver.
-    pub solve: Duration,
-    /// Engine chain enumeration and classification (everything in the
-    /// engines that is not solving).
+    /// Engine chain enumeration, feasibility checks and classification
+    /// (everything in the engines after `encode`).
     pub classify: Duration,
     /// Baseline-tool (haunted re-execution checker) time *not*
     /// attributed to one of the three `bh_*` sub-phases below: config
@@ -118,23 +117,13 @@ pub struct PhaseTimings {
     /// (module compilation, corpus generation, aggregation). Set by
     /// [`PhaseTimings::fill_other`] so the breakdown sums to wall clock.
     pub other: Duration,
-    /// Feasibility questions that reached the memo/solver (incl. hits).
-    pub sat_queries: u64,
-    /// Questions answered from the feasibility memo.
-    pub memo_hits: u64,
-    /// Questions answered by the block-reachability pre-screen without
-    /// reaching the memo or solver.
+    /// Feasibility questions answered from block reachability.
     pub queries_avoided: u64,
     /// Engine-level candidate checks skipped by hoisted pre-screens.
     pub prefilter_hits: u64,
-    /// Solver calls served by a persistent solver that had already
-    /// served an earlier call (always 0 with incremental SAT disabled).
-    pub solver_reuses: u64,
-    /// Learnt clauses retained in persistent solvers across calls.
-    pub clauses_retained: u64,
     /// Functions whose entire engine run was short-circuited by a
     /// content-addressed cache hit (the strongest form of avoidance:
-    /// zero queries, zero encoding, zero graph builds).
+    /// zero queries, zero closure builds, zero graph builds).
     pub cache_hits: u64,
 }
 
@@ -144,7 +133,6 @@ impl PhaseTimings {
         self.acfg_build += other.acfg_build;
         self.saeg_build += other.saeg_build;
         self.encode += other.encode;
-        self.solve += other.solve;
         self.classify += other.classify;
         self.baseline += other.baseline;
         self.bh_enumerate += other.bh_enumerate;
@@ -152,12 +140,8 @@ impl PhaseTimings {
         self.bh_witness += other.bh_witness;
         self.cache += other.cache;
         self.other += other.other;
-        self.sat_queries += other.sat_queries;
-        self.memo_hits += other.memo_hits;
         self.queries_avoided += other.queries_avoided;
         self.prefilter_hits += other.prefilter_hits;
-        self.solver_reuses += other.solver_reuses;
-        self.clauses_retained += other.clauses_retained;
         self.cache_hits += other.cache_hits;
     }
 
@@ -166,7 +150,6 @@ impl PhaseTimings {
         self.acfg_build
             + self.saeg_build
             + self.encode
-            + self.solve
             + self.classify
             + self.baseline
             + self.bh_enumerate
@@ -185,11 +168,10 @@ impl PhaseTimings {
     pub fn render(&self) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         format!(
-            "acfg {:.1}ms | saeg {:.1}ms | encode {:.1}ms | solve {:.1}ms | classify {:.1}ms | baseline {:.1}ms (enum {:.1}ms, exec {:.1}ms, witness {:.1}ms) | cache {:.1}ms | other {:.1}ms | {} SAT queries ({} memo hits, {} avoided, {} prefilter hits, {} solver reuses, {} clauses retained, {} cache hits)",
+            "acfg {:.1}ms | saeg {:.1}ms | encode {:.1}ms | classify {:.1}ms | baseline {:.1}ms (enum {:.1}ms, exec {:.1}ms, witness {:.1}ms) | cache {:.1}ms | other {:.1}ms | {} avoided, {} prefilter hits, {} cache hits",
             ms(self.acfg_build),
             ms(self.saeg_build),
             ms(self.encode),
-            ms(self.solve),
             ms(self.classify),
             ms(self.baseline),
             ms(self.bh_enumerate),
@@ -197,12 +179,8 @@ impl PhaseTimings {
             ms(self.bh_witness),
             ms(self.cache),
             ms(self.other),
-            self.sat_queries,
-            self.memo_hits,
             self.queries_avoided,
             self.prefilter_hits,
-            self.solver_reuses,
-            self.clauses_retained,
             self.cache_hits,
         )
     }
@@ -447,7 +425,6 @@ mod tests {
             acfg_build: d(1),
             saeg_build: d(2),
             encode: d(3),
-            solve: d(4),
             classify: d(5),
             baseline: d(6),
             bh_enumerate: d(14),
@@ -455,12 +432,8 @@ mod tests {
             bh_witness: d(16),
             cache: d(7),
             other: d(8),
-            sat_queries: seed * 100 + 9,
-            memo_hits: seed * 100 + 10,
             queries_avoided: seed * 100 + 11,
             prefilter_hits: seed * 100 + 12,
-            solver_reuses: seed * 100 + 17,
-            clauses_retained: seed * 100 + 18,
             cache_hits: seed * 100 + 13,
         }
     }
@@ -475,7 +448,6 @@ mod tests {
             acfg_build,
             saeg_build,
             encode,
-            solve,
             classify,
             baseline,
             bh_enumerate,
@@ -483,19 +455,14 @@ mod tests {
             bh_witness,
             cache,
             other,
-            sat_queries,
-            memo_hits,
             queries_avoided,
             prefilter_hits,
-            solver_reuses,
-            clauses_retained,
             cache_hits,
         } = acc;
         let ms = |x: u64| Duration::from_millis(x);
         assert_eq!(acfg_build, ms(101 + 201));
         assert_eq!(saeg_build, ms(102 + 202));
         assert_eq!(encode, ms(103 + 203));
-        assert_eq!(solve, ms(104 + 204));
         assert_eq!(classify, ms(105 + 205));
         assert_eq!(baseline, ms(106 + 206));
         assert_eq!(bh_enumerate, ms(114 + 214));
@@ -503,12 +470,8 @@ mod tests {
         assert_eq!(bh_witness, ms(116 + 216));
         assert_eq!(cache, ms(107 + 207));
         assert_eq!(other, ms(108 + 208));
-        assert_eq!(sat_queries, 109 + 209);
-        assert_eq!(memo_hits, 110 + 210);
         assert_eq!(queries_avoided, 111 + 211);
         assert_eq!(prefilter_hits, 112 + 212);
-        assert_eq!(solver_reuses, 117 + 217);
-        assert_eq!(clauses_retained, 118 + 218);
         assert_eq!(cache_hits, 113 + 213);
     }
 
@@ -517,8 +480,7 @@ mod tests {
         let mut t = distinct(1);
         t.other = Duration::ZERO;
         // tracked() must include every Duration field except `other`.
-        let tracked =
-            Duration::from_millis(101 + 102 + 103 + 104 + 105 + 106 + 114 + 115 + 116 + 107);
+        let tracked = Duration::from_millis(101 + 102 + 103 + 105 + 106 + 114 + 115 + 116 + 107);
         assert_eq!(t.tracked(), tracked);
         let wall = tracked + Duration::from_millis(42);
         t.fill_other(wall);

@@ -244,10 +244,7 @@ fn encode_config(w: &mut W, c: &DetectorConfig) {
     w.bool(c.universal_needs_transient_access);
     w.bool(c.secret_filter);
     w.bool(c.detect_interference);
-    w.bool(c.disable_incremental);
-    w.bool(c.disable_prefilter);
     opt_u64(w, c.budgets.timeout.map(|d| d.as_nanos() as u64));
-    opt_u64(w, c.budgets.max_conflicts);
     opt_u64(w, c.budgets.max_saeg_nodes.map(|n| n as u64));
     opt_u64(w, c.budgets.max_saeg_edges.map(|n| n as u64));
     w.str(&c.faults.render());
@@ -269,11 +266,8 @@ fn decode_config(r: &mut R) -> Result<DetectorConfig, Corrupt> {
     c.universal_needs_transient_access = r.bool()?;
     c.secret_filter = r.bool()?;
     c.detect_interference = r.bool()?;
-    c.disable_incremental = r.bool()?;
-    c.disable_prefilter = r.bool()?;
     c.budgets = Budgets {
         timeout: opt_u64_of(r)?.map(Duration::from_nanos),
-        max_conflicts: opt_u64_of(r)?,
         max_saeg_nodes: opt_u64_of(r)?.map(|n| n as usize),
         max_saeg_edges: opt_u64_of(r)?.map(|n| n as usize),
     };
@@ -332,7 +326,6 @@ fn encode_timings(w: &mut W, t: &PhaseTimings) {
         t.acfg_build,
         t.saeg_build,
         t.encode,
-        t.solve,
         t.classify,
         t.baseline,
         t.bh_enumerate,
@@ -343,15 +336,7 @@ fn encode_timings(w: &mut W, t: &PhaseTimings) {
     ] {
         w.u64(d.as_nanos() as u64);
     }
-    for v in [
-        t.sat_queries,
-        t.memo_hits,
-        t.queries_avoided,
-        t.prefilter_hits,
-        t.solver_reuses,
-        t.clauses_retained,
-        t.cache_hits,
-    ] {
+    for v in [t.queries_avoided, t.prefilter_hits, t.cache_hits] {
         w.u64(v);
     }
 }
@@ -362,7 +347,6 @@ fn decode_timings(r: &mut R) -> Result<PhaseTimings, Corrupt> {
         &mut t.acfg_build,
         &mut t.saeg_build,
         &mut t.encode,
-        &mut t.solve,
         &mut t.classify,
         &mut t.baseline,
         &mut t.bh_enumerate,
@@ -374,12 +358,8 @@ fn decode_timings(r: &mut R) -> Result<PhaseTimings, Corrupt> {
         *d = Duration::from_nanos(r.u64()?);
     }
     for v in [
-        &mut t.sat_queries,
-        &mut t.memo_hits,
         &mut t.queries_avoided,
         &mut t.prefilter_hits,
-        &mut t.solver_reuses,
-        &mut t.clauses_retained,
         &mut t.cache_hits,
     ] {
         *v = r.u64()?;
@@ -727,7 +707,7 @@ mod tests {
         c.target_class = Some(TransmitterClass::UniversalData);
         c.secret_filter = true;
         c.budgets.timeout = Some(Duration::from_millis(1500));
-        c.budgets.max_conflicts = Some(4096);
+        c.budgets.max_saeg_nodes = Some(4096);
         c.faults = FaultPlan::default().arm(site::WORKER_PANIC, Some(1));
         c
     }
@@ -756,7 +736,7 @@ mod tests {
         assert_eq!(t.config.window, 99);
         assert_eq!(t.config.target_class, Some(TransmitterClass::UniversalData));
         assert_eq!(t.config.budgets.timeout, Some(Duration::from_millis(1500)));
-        assert_eq!(t.config.budgets.max_conflicts, Some(4096));
+        assert_eq!(t.config.budgets.max_saeg_nodes, Some(4096));
         assert!(t.config.faults.fires(site::WORKER_PANIC, 1));
         assert!(t.trace);
         assert_eq!(t.worker_slot, 5);
@@ -832,7 +812,7 @@ mod tests {
             metrics: MetricsSnapshot {
                 metrics: vec![
                     (
-                        "lcm_sat_queries_total".into(),
+                        "lcm_sat_queries_avoided_total".into(),
                         "queries".into(),
                         MetricValue::Counter(17),
                     ),

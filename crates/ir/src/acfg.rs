@@ -148,25 +148,22 @@ fn import_pure(
 
 /// Unrolls every natural loop `copies` times, truncating paths that would
 /// iterate more than `copies` full iterations (their continuation ends in
-/// a path-terminating block). Repeats until the CFG is acyclic.
+/// a path-terminating block). Each round unrolls one innermost loop away
+/// without creating another, so a reducible CFG is acyclic after as many
+/// rounds as it has loops.
 ///
 /// # Errors
 ///
 /// Returns [`AcfgError::Irreducible`] if the CFG fails to become acyclic
 /// (irreducible control flow — our front end never produces it).
 pub fn unroll_loops(f: &mut Function, copies: usize) -> Result<(), AcfgError> {
-    let mut rounds = 0usize;
-    loop {
+    for _ in 0..=natural_loops(f).len() {
         let mut loops = natural_loops(f);
         if loops.is_empty() {
             if has_cycle(f) {
                 return Err(AcfgError::Irreducible(f.name.clone()));
             }
             return Ok(());
-        }
-        rounds += 1;
-        if rounds > 64 {
-            return Err(AcfgError::Irreducible(f.name.clone()));
         }
         // Unroll an innermost loop: one whose body contains no other
         // loop's header.
@@ -183,6 +180,7 @@ pub fn unroll_loops(f: &mut Function, copies: usize) -> Result<(), AcfgError> {
             .unwrap_or_else(|| loops[0].clone());
         unroll_one(f, &target.body, target.header, copies);
     }
+    Err(AcfgError::Irreducible(f.name.clone()))
 }
 
 /// Unrolls a single loop given its body and header.
@@ -848,6 +846,60 @@ mod tests {
         assert_eq!(
             build_acfg(&m, "nope").unwrap_err(),
             AcfgError::UnknownFunction("nope".into())
+        );
+    }
+
+    /// `n` loops in sequence, each `while (c) {}` on the parameter.
+    fn sequential_loops(n: usize) -> Function {
+        let mut f = Function::new("seq", &[("c", Ty::Int)]);
+        let c = f.param(0);
+        let mut prev = f.entry();
+        for k in 0..n {
+            let header = f.add_block(&format!("h{k}"));
+            let body = f.add_block(&format!("b{k}"));
+            f.set_term(prev, Terminator::Br(header));
+            f.set_term(body, Terminator::Br(header));
+            let next = f.add_block(&format!("x{k}"));
+            f.set_term(
+                header,
+                Terminator::CondBr {
+                    cond: c,
+                    then_bb: body,
+                    else_bb: next,
+                },
+            );
+            prev = next;
+        }
+        f
+    }
+
+    #[test]
+    fn more_than_sixty_four_loops_unroll() {
+        let mut f = sequential_loops(65);
+        assert_eq!(natural_loops(&f).len(), 65);
+        unroll_loops(&mut f, 2).unwrap();
+        assert!(!has_cycle(&f));
+    }
+
+    #[test]
+    fn irreducible_cycle_is_reported() {
+        // entry branches into both blocks of a two-entry cycle.
+        let mut f = Function::new("irr", &[("c", Ty::Int)]);
+        let c = f.param(0);
+        let (a, b) = (f.add_block("a"), f.add_block("b"));
+        f.set_term(
+            f.entry(),
+            Terminator::CondBr {
+                cond: c,
+                then_bb: a,
+                else_bb: b,
+            },
+        );
+        f.set_term(a, Terminator::Br(b));
+        f.set_term(b, Terminator::Br(a));
+        assert_eq!(
+            unroll_loops(&mut f, 2),
+            Err(AcfgError::Irreducible("irr".into()))
         );
     }
 

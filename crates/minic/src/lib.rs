@@ -354,4 +354,88 @@ mod tests {
         let e = compile("void f() { break; }").unwrap_err();
         assert!(matches!(e, CompileError::Lower(_)));
     }
+
+    /// Compiles `src` on a thread with the analysis daemon's default
+    /// 2 MiB stack, so unbounded recursion aborts the test process.
+    fn compile_on_small_stack(src: String) -> Result<Module, CompileError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || compile(&src))
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    fn function(body: &str) -> String {
+        format!("int A[4]; int x; int f(int y) {{ {body} return x; }}")
+    }
+
+    #[test]
+    fn deep_nesting_is_a_located_parse_error() {
+        let deep = [
+            (
+                "parentheses",
+                format!("x = {}y{};", "(".repeat(1000), ")".repeat(1000)),
+            ),
+            ("casts", format!("x = {}y;", "(int)".repeat(1000))),
+            ("unary", format!("x = {}y;", "- ".repeat(1000))),
+            ("binary chain", format!("x = y{};", " + y".repeat(5999))),
+            ("index chain", format!("x = A{};", "[0]".repeat(6000))),
+            (
+                "nested index",
+                format!("x = {}0{};", "A[".repeat(1000), "]".repeat(1000)),
+            ),
+            (
+                "nested calls",
+                format!("x = {}y{};", "f(".repeat(1000), ")".repeat(1000)),
+            ),
+            ("assignment chain", format!("{}y;", "x = ".repeat(1000))),
+            (
+                "ternary chain",
+                format!("x = {}y;", "y ? y : ".repeat(1000)),
+            ),
+            (
+                "blocks",
+                format!("{}{}", "{".repeat(100_000), "}".repeat(100_000)),
+            ),
+            ("ifs", format!("{}x = 1;", "if (y) ".repeat(1000))),
+            ("whiles", format!("{}x = 1;", "while (y) ".repeat(1000))),
+            ("fors", format!("{}x = 1;", "for (;y;) ".repeat(1000))),
+        ];
+        for (what, body) in deep {
+            match compile_on_small_stack(function(&body)) {
+                Err(CompileError::Parse(e)) => {
+                    assert!(e.message.contains("deeper than"), "{what}: {e}");
+                    assert_eq!(e.line, 1, "{what}: {e}");
+                }
+                other => panic!("{what}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn two_hundred_levels_still_compile() {
+        let ok = [
+            format!("x = {}y{};", "(".repeat(200), ")".repeat(200)),
+            format!("x = {}y;", "- ".repeat(200)),
+            format!("x = y{};", " + y".repeat(199)),
+            format!("{}x = 1;{}", "{".repeat(200), "}".repeat(200)),
+            format!("{}x = 1;", "if (y) ".repeat(200)),
+        ];
+        for body in ok {
+            let src = function(&body);
+            assert!(compile_on_small_stack(src.clone()).is_ok(), "{src}");
+        }
+    }
+
+    #[test]
+    fn copied_operands_must_not_assign() {
+        // `x++` and `x op= y` copy `x`: an assignment inside it would run
+        // twice, and stacking them would double the tree each time.
+        for body in ["x++ ++;", "A[x++] += 1;", "A[x = 1]--;", "x++[A]++;"] {
+            let e = compile(&function(body)).unwrap_err();
+            assert!(matches!(e, CompileError::Parse(_)), "{body}: {e}");
+        }
+        assert!(compile(&function("A[x]++; A[y] += x++;")).is_ok());
+    }
 }

@@ -47,9 +47,43 @@ const QUALIFIERS: &[&str] = &[
     "const", "volatile", "static", "register", "extern", "inline",
 ];
 
+/// Deepest nesting a program may build: nested statements, and the
+/// depth of every expression tree. Parentheses, casts and right-nested
+/// operators count too, so this bounds the parser's recursion as well as
+/// lowering's and drop's, and deep input gets a located error instead
+/// of overflowing the stack.
+const MAX_DEPTH: usize = 256;
+
+/// An expression and the depth of its tree.
+type Parsed = (Expr, usize);
+
+/// Binary operators with their precedence; higher binds tighter.
+const BINARY: [(&str, BinAst, u8); 18] = [
+    ("||", BinAst::LogOr, 0),
+    ("&&", BinAst::LogAnd, 1),
+    ("|", BinAst::BitOr, 2),
+    ("^", BinAst::BitXor, 3),
+    ("&", BinAst::BitAnd, 4),
+    ("==", BinAst::Eq, 5),
+    ("!=", BinAst::Ne, 5),
+    ("<=", BinAst::Le, 6),
+    (">=", BinAst::Ge, 6),
+    ("<", BinAst::Lt, 6),
+    (">", BinAst::Gt, 6),
+    ("<<", BinAst::Shl, 7),
+    (">>", BinAst::Shr, 7),
+    ("+", BinAst::Add, 8),
+    ("-", BinAst::Sub, 8),
+    ("*", BinAst::Mul, 9),
+    ("/", BinAst::Div, 9),
+    ("%", BinAst::Rem, 9),
+];
+
 struct Parser<'t> {
     toks: &'t [Token],
     pos: usize,
+    /// Nested productions currently open (see [`Parser::nested`]).
+    open: usize,
 }
 
 /// Parses a token stream into a [`Program`].
@@ -61,6 +95,7 @@ pub fn parse(tokens: &[Token]) -> Result<Program, ParseError> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
+        open: 0,
     };
     let mut prog = Program::default();
     while !p.at_end() {
@@ -83,6 +118,25 @@ impl<'t> Parser<'t> {
             message: msg.into(),
             line: self.line(),
         })
+    }
+
+    fn too_deep<T>(&self) -> Result<T, ParseError> {
+        self.err(format!("program nests deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Runs the production `f` one nesting level deeper, failing past
+    /// [`MAX_DEPTH`] before it recurses.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.open >= MAX_DEPTH {
+            return self.too_deep();
+        }
+        self.open += 1;
+        let r = f(self);
+        self.open -= 1;
+        r
     }
 
     fn peek_punct(&self, p: &str) -> bool {
@@ -333,6 +387,13 @@ impl<'t> Parser<'t> {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt)
+    }
+
+    /// One statement. Compound statements recurse through this
+    /// dispatcher, so each kind is parsed in its own function and the
+    /// frame each nesting level costs stays small.
+    fn stmt(&mut self) -> Result<Stmt, ParseError> {
         if self.eat_punct("{") {
             return Ok(Stmt::Block(self.parse_block_body()?));
         }
@@ -340,67 +401,90 @@ impl<'t> Parser<'t> {
             return Ok(Stmt::Block(Vec::new()));
         }
         if self.eat_ident_exact("if") {
-            self.expect_punct("(")?;
-            let cond = self.parse_expr()?;
-            self.expect_punct(")")?;
-            let then_s = vec![self.parse_stmt()?];
-            let else_s = if self.eat_ident_exact("else") {
-                vec![self.parse_stmt()?]
-            } else {
-                Vec::new()
-            };
-            return Ok(Stmt::If(cond, then_s, else_s));
+            return self.parse_if();
         }
         if self.eat_ident_exact("do") {
-            let body = vec![self.parse_stmt()?];
-            if !self.eat_ident_exact("while") {
-                return self.err("expected `while` after do-body");
-            }
-            self.expect_punct("(")?;
-            let cond = self.parse_expr()?;
-            self.expect_punct(")")?;
-            self.expect_punct(";")?;
-            return Ok(Stmt::DoWhile(body, cond));
+            return self.parse_do();
         }
         if self.eat_ident_exact("while") {
-            self.expect_punct("(")?;
-            let cond = self.parse_expr()?;
-            self.expect_punct(")")?;
-            let body = vec![self.parse_stmt()?];
-            return Ok(Stmt::While(cond, body));
+            return self.parse_while();
         }
         if self.eat_ident_exact("for") {
-            // for(init; cond; step) body  ==>  { init; while(cond) { body; step } }
-            self.expect_punct("(")?;
-            let init = if self.peek_punct(";") {
-                None
-            } else {
-                Some(self.parse_simple_stmt()?)
-            };
-            self.expect_punct(";")?;
-            let cond = if self.peek_punct(";") {
-                Expr::Int(1)
-            } else {
-                self.parse_expr()?
-            };
-            self.expect_punct(";")?;
-            let step = if self.peek_punct(")") {
-                None
-            } else {
-                Some(self.parse_expr()?)
-            };
-            self.expect_punct(")")?;
-            let mut body = vec![self.parse_stmt()?];
-            if let Some(s) = step {
-                body.push(Stmt::Expr(s));
-            }
-            let mut block = Vec::new();
-            if let Some(i) = init {
-                block.push(i);
-            }
-            block.push(Stmt::While(cond, body));
-            return Ok(Stmt::Block(block));
+            return self.parse_for();
         }
+        self.parse_leaf_stmt()
+    }
+
+    fn parse_if(&mut self) -> Result<Stmt, ParseError> {
+        let cond = self.parse_cond()?;
+        let then_s = vec![self.parse_stmt()?];
+        let else_s = if self.eat_ident_exact("else") {
+            vec![self.parse_stmt()?]
+        } else {
+            Vec::new()
+        };
+        Ok(Stmt::If(cond, then_s, else_s))
+    }
+
+    fn parse_do(&mut self) -> Result<Stmt, ParseError> {
+        let body = vec![self.parse_stmt()?];
+        if !self.eat_ident_exact("while") {
+            return self.err("expected `while` after do-body");
+        }
+        let cond = self.parse_cond()?;
+        self.expect_punct(";")?;
+        Ok(Stmt::DoWhile(body, cond))
+    }
+
+    fn parse_while(&mut self) -> Result<Stmt, ParseError> {
+        let cond = self.parse_cond()?;
+        let body = vec![self.parse_stmt()?];
+        Ok(Stmt::While(cond, body))
+    }
+
+    /// `for(init; cond; step) body  ==>  { init; while(cond) { body; step } }`
+    fn parse_for(&mut self) -> Result<Stmt, ParseError> {
+        self.expect_punct("(")?;
+        let init = if self.peek_punct(";") {
+            None
+        } else {
+            Some(self.parse_simple_stmt()?)
+        };
+        self.expect_punct(";")?;
+        let cond = if self.peek_punct(";") {
+            Expr::Int(1)
+        } else {
+            self.parse_expr()?.0
+        };
+        self.expect_punct(";")?;
+        let step = if self.peek_punct(")") {
+            None
+        } else {
+            Some(self.parse_expr()?.0)
+        };
+        self.expect_punct(")")?;
+        let mut body = vec![self.parse_stmt()?];
+        if let Some(s) = step {
+            body.push(Stmt::Expr(s));
+        }
+        let mut block = Vec::new();
+        if let Some(i) = init {
+            block.push(i);
+        }
+        block.push(Stmt::While(cond, body));
+        Ok(Stmt::Block(block))
+    }
+
+    /// A parenthesized condition.
+    fn parse_cond(&mut self) -> Result<Expr, ParseError> {
+        self.expect_punct("(")?;
+        let cond = self.parse_expr()?.0;
+        self.expect_punct(")")?;
+        Ok(cond)
+    }
+
+    /// A statement that holds no nested statement.
+    fn parse_leaf_stmt(&mut self) -> Result<Stmt, ParseError> {
         if self.eat_ident_exact("break") {
             self.expect_punct(";")?;
             return Ok(Stmt::Break);
@@ -413,7 +497,7 @@ impl<'t> Parser<'t> {
             if self.eat_punct(";") {
                 return Ok(Stmt::Return(None));
             }
-            let e = self.parse_expr()?;
+            let e = self.parse_expr()?.0;
             self.expect_punct(";")?;
             return Ok(Stmt::Return(Some(e)));
         }
@@ -432,7 +516,7 @@ impl<'t> Parser<'t> {
                 self.expect_punct("]")?;
             }
             let init = if self.eat_punct("=") {
-                Some(self.parse_expr()?)
+                Some(self.parse_expr()?.0)
             } else {
                 None
             };
@@ -445,16 +529,42 @@ impl<'t> Parser<'t> {
             self.expect_punct(")")?;
             return Ok(Stmt::Fence);
         }
-        Ok(Stmt::Expr(self.parse_expr()?))
+        Ok(Stmt::Expr(self.parse_expr()?.0))
     }
 
-    // Expression grammar, lowest precedence first.
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_assign()
+    // Expression grammar, lowest precedence first. Every production
+    // returns its tree's depth, so iteratively built chains (`x + … + x`,
+    // `a[0][0]…`) are capped like the recursive ones.
+    fn parse_expr(&mut self) -> Result<Parsed, ParseError> {
+        self.nested(Self::parse_assign)
     }
 
-    fn parse_assign(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.parse_ternary()?;
+    /// A node of the given depth, unless it and the productions open
+    /// around it nest deeper than [`MAX_DEPTH`]. Counting the enclosing
+    /// statements bounds lowering, which recurses through both.
+    fn node(&self, e: Expr, depth: usize) -> Result<Parsed, ParseError> {
+        if self.open + depth > MAX_DEPTH {
+            return self.too_deep();
+        }
+        Ok((e, depth))
+    }
+
+    fn bin(&self, op: BinAst, (l, dl): Parsed, (r, dr): Parsed) -> Result<Parsed, ParseError> {
+        self.node(Expr::Bin(op, Box::new(l), Box::new(r)), 1 + dl.max(dr))
+    }
+
+    /// `x op= y` and `x++` copy `x` into their desugaring, so `x` must
+    /// not assign: the assignment would run twice, and nested copies
+    /// would grow the tree exponentially.
+    fn copyable(&self, e: &Expr) -> Result<(), ParseError> {
+        if assigns(e) {
+            return self.err("assignment inside the operand of `++`, `--` or `op=`");
+        }
+        Ok(())
+    }
+
+    fn parse_assign(&mut self) -> Result<Parsed, ParseError> {
+        let (lhs, dl) = self.parse_ternary()?;
         for (tok, op) in [
             ("+=", Some(BinAst::Add)),
             ("-=", Some(BinAst::Sub)),
@@ -470,181 +580,77 @@ impl<'t> Parser<'t> {
         ] {
             if self.peek_punct(tok) {
                 self.pos += 1;
-                let rhs = self.parse_assign()?;
-                let rhs = match op {
-                    Some(op) => Expr::Bin(op, Box::new(lhs.clone()), Box::new(rhs)),
+                let rhs = self.nested(Self::parse_assign)?;
+                let (rhs, dr) = match op {
+                    Some(op) => {
+                        self.copyable(&lhs)?;
+                        self.bin(op, (lhs.clone(), dl), rhs)?
+                    }
                     None => rhs,
                 };
-                return Ok(Expr::Assign(Box::new(lhs), Box::new(rhs)));
+                return self.node(Expr::Assign(Box::new(lhs), Box::new(rhs)), 1 + dl.max(dr));
             }
         }
-        Ok(lhs)
+        Ok((lhs, dl))
     }
 
-    fn parse_ternary(&mut self) -> Result<Expr, ParseError> {
-        let c = self.parse_logor()?;
+    fn parse_ternary(&mut self) -> Result<Parsed, ParseError> {
+        let (c, dc) = self.parse_binary(0)?;
         if self.eat_punct("?") {
-            let a = self.parse_expr()?;
+            let (a, da) = self.parse_expr()?;
             self.expect_punct(":")?;
-            let b = self.parse_ternary()?;
-            return Ok(Expr::Ternary(Box::new(c), Box::new(a), Box::new(b)));
+            let (b, db) = self.nested(Self::parse_ternary)?;
+            let depth = 1 + dc.max(da).max(db);
+            return self.node(Expr::Ternary(Box::new(c), Box::new(a), Box::new(b)), depth);
         }
-        Ok(c)
+        Ok((c, dc))
     }
 
-    fn parse_logor(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_logand()?;
-        while self.eat_punct("||") {
-            let r = self.parse_logand()?;
-            e = Expr::Bin(BinAst::LogOr, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn parse_logand(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_bitor()?;
-        while self.eat_punct("&&") {
-            let r = self.parse_bitor()?;
-            e = Expr::Bin(BinAst::LogAnd, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn parse_bitor(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_bitxor()?;
-        while self.peek_punct("|") {
-            self.pos += 1;
-            let r = self.parse_bitxor()?;
-            e = Expr::Bin(BinAst::BitOr, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn parse_bitxor(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_bitand()?;
-        while self.peek_punct("^") {
-            self.pos += 1;
-            let r = self.parse_bitand()?;
-            e = Expr::Bin(BinAst::BitXor, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn parse_bitand(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_equality()?;
-        while self.peek_punct("&") {
-            self.pos += 1;
-            let r = self.parse_equality()?;
-            e = Expr::Bin(BinAst::BitAnd, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn parse_equality(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_relational()?;
-        loop {
-            let op = if self.eat_punct("==") {
-                BinAst::Eq
-            } else if self.eat_punct("!=") {
-                BinAst::Ne
-            } else {
-                return Ok(e);
-            };
-            let r = self.parse_relational()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
-        }
-    }
-
-    fn parse_relational(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_shift()?;
-        loop {
-            let op = if self.eat_punct("<=") {
-                BinAst::Le
-            } else if self.eat_punct(">=") {
-                BinAst::Ge
-            } else if self.eat_punct("<") {
-                BinAst::Lt
-            } else if self.eat_punct(">") {
-                BinAst::Gt
-            } else {
-                return Ok(e);
-            };
-            let r = self.parse_shift()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
-        }
-    }
-
-    fn parse_shift(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_additive()?;
-        loop {
-            let op = if self.eat_punct("<<") {
-                BinAst::Shl
-            } else if self.eat_punct(">>") {
-                BinAst::Shr
-            } else {
-                return Ok(e);
-            };
-            let r = self.parse_additive()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
-        }
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_multiplicative()?;
-        loop {
-            let op = if self.eat_punct("+") {
-                BinAst::Add
-            } else if self.eat_punct("-") {
-                BinAst::Sub
-            } else {
-                return Ok(e);
-            };
-            let r = self.parse_multiplicative()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
-        }
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
+    /// Left-associative binary operators binding at least as tightly as
+    /// `min`, by precedence climbing: a loop per level, recursion only
+    /// into a tighter level, so the parser's depth stays bounded.
+    fn parse_binary(&mut self, min: u8) -> Result<Parsed, ParseError> {
         let mut e = self.parse_unary()?;
-        loop {
-            let op = if self.eat_punct("*") {
-                BinAst::Mul
-            } else if self.eat_punct("/") {
-                BinAst::Div
-            } else if self.eat_punct("%") {
-                BinAst::Rem
-            } else {
-                return Ok(e);
-            };
-            let r = self.parse_unary()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
+        while let Some(&(_, op, prec)) = self.peek_binary(min) {
+            self.pos += 1;
+            let r = self.parse_binary(prec + 1)?;
+            e = self.bin(op, e, r)?;
         }
+        Ok(e)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat_punct("-") {
-            return Ok(Expr::Un(UnAst::Neg, Box::new(self.parse_unary()?)));
-        }
-        if self.eat_punct("!") {
-            return Ok(Expr::Un(UnAst::Not, Box::new(self.parse_unary()?)));
-        }
-        if self.eat_punct("~") {
-            return Ok(Expr::Un(UnAst::BitNot, Box::new(self.parse_unary()?)));
-        }
-        if self.eat_punct("*") {
-            return Ok(Expr::Un(UnAst::Deref, Box::new(self.parse_unary()?)));
-        }
-        if self.eat_punct("&") {
-            return Ok(Expr::Un(UnAst::AddrOf, Box::new(self.parse_unary()?)));
+    /// The binary operator at the cursor, if it binds at least as
+    /// tightly as `min`.
+    fn peek_binary(&self, min: u8) -> Option<&'static (&'static str, BinAst, u8)> {
+        let Some(Token {
+            kind: TokenKind::Punct(p),
+            ..
+        }) = self.toks.get(self.pos)
+        else {
+            return None;
+        };
+        BINARY.iter().find(|&&(t, _, prec)| prec >= min && t == *p)
+    }
+
+    fn parse_unary(&mut self) -> Result<Parsed, ParseError> {
+        for (tok, op) in [
+            ("-", UnAst::Neg),
+            ("!", UnAst::Not),
+            ("~", UnAst::BitNot),
+            ("*", UnAst::Deref),
+            ("&", UnAst::AddrOf),
+        ] {
+            if self.eat_punct(tok) {
+                let (e, d) = self.nested(Self::parse_unary)?;
+                return self.node(Expr::Un(op, Box::new(e)), d + 1);
+            }
         }
         if self.eat_punct("(") {
             // Cast or parenthesized expression.
             let save = self.pos;
-            if let Some(_ty) = self.try_type() {
-                if self.eat_punct(")") {
-                    // Cast: types are all word-sized; casts are no-ops.
-                    return self.parse_unary();
-                }
+            if self.try_type().is_some() && self.eat_punct(")") {
+                // Cast: types are all word-sized; casts are no-ops.
+                return self.nested(Self::parse_unary);
             }
             self.pos = save;
             let e = self.parse_expr()?;
@@ -654,7 +660,7 @@ impl<'t> Parser<'t> {
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_primary(&mut self) -> Result<Parsed, ParseError> {
         if self.eat_ident_exact("sizeof") {
             self.expect_punct("(")?;
             // sizeof(ident) or sizeof(type) — type sizes are 1 word.
@@ -666,7 +672,7 @@ impl<'t> Parser<'t> {
                 _ => Expr::SizeOf(self.expect_ident()?),
             };
             self.expect_punct(")")?;
-            return Ok(e);
+            return Ok((e, 1));
         }
         if let Some(Token {
             kind: TokenKind::Int(v),
@@ -675,60 +681,75 @@ impl<'t> Parser<'t> {
         {
             let v = *v;
             self.pos += 1;
-            return Ok(Expr::Int(v));
+            return Ok((Expr::Int(v), 1));
         }
         let name = self.expect_ident()?;
         if self.peek_punct("(") {
             self.pos += 1;
             let mut args = Vec::new();
+            let mut depth = 1;
             if !self.peek_punct(")") {
                 loop {
-                    args.push(self.parse_expr()?);
+                    let (arg, d) = self.parse_expr()?;
+                    args.push(arg);
+                    depth = depth.max(d + 1);
                     if !self.eat_punct(",") {
                         break;
                     }
                 }
             }
             self.expect_punct(")")?;
-            return self.parse_postfix(Expr::Call(name, args));
+            let call = self.node(Expr::Call(name, args), depth)?;
+            return self.parse_postfix(call);
         }
-        self.parse_postfix(Expr::Ident(name))
+        self.parse_postfix((Expr::Ident(name), 1))
     }
 
-    fn parse_postfix(&mut self, mut e: Expr) -> Result<Expr, ParseError> {
+    fn parse_postfix(&mut self, (mut e, mut d): Parsed) -> Result<Parsed, ParseError> {
         loop {
             // Postfix ++/-- desugar to compound assignment (the expression
             // value is the *updated* value — a pre-increment approximation
             // adequate for statement position, where benchmarks use it).
-            if self.eat_punct("++") {
-                e = Expr::Assign(
-                    Box::new(e.clone()),
-                    Box::new(Expr::Bin(BinAst::Add, Box::new(e), Box::new(Expr::Int(1)))),
-                );
-                continue;
-            }
-            if self.eat_punct("--") {
-                e = Expr::Assign(
-                    Box::new(e.clone()),
-                    Box::new(Expr::Bin(BinAst::Sub, Box::new(e), Box::new(Expr::Int(1)))),
-                );
+            let step = if self.eat_punct("++") {
+                Some(BinAst::Add)
+            } else if self.eat_punct("--") {
+                Some(BinAst::Sub)
+            } else {
+                None
+            };
+            if let Some(op) = step {
+                self.copyable(&e)?;
+                let bumped = Expr::Bin(op, Box::new(e.clone()), Box::new(Expr::Int(1)));
+                (e, d) = self.node(Expr::Assign(Box::new(e), Box::new(bumped)), d + 2)?;
                 continue;
             }
             if self.eat_punct("[") {
-                let idx = self.parse_expr()?;
+                let (idx, di) = self.parse_expr()?;
                 self.expect_punct("]")?;
-                e = Expr::Index(Box::new(e), Box::new(idx));
+                (e, d) = self.node(Expr::Index(Box::new(e), Box::new(idx)), 1 + d.max(di))?;
                 continue;
             }
             if self.eat_punct("->") || self.eat_punct(".") {
                 // Struct field access: modelled as index 0 of the pointed-to
                 // region (mini-C flattens structs to single words).
                 let _field = self.expect_ident()?;
-                e = Expr::Un(UnAst::Deref, Box::new(e));
+                (e, d) = self.node(Expr::Un(UnAst::Deref, Box::new(e)), d + 1)?;
                 continue;
             }
-            return Ok(e);
+            return Ok((e, d));
         }
+    }
+}
+
+/// Whether `e` contains an assignment.
+fn assigns(e: &Expr) -> bool {
+    match e {
+        Expr::Assign(..) => true,
+        Expr::Int(_) | Expr::Ident(_) | Expr::SizeOf(_) => false,
+        Expr::Un(_, a) => assigns(a),
+        Expr::Bin(_, a, b) | Expr::Index(a, b) => assigns(a) || assigns(b),
+        Expr::Ternary(a, b, c) => assigns(a) || assigns(b) || assigns(c),
+        Expr::Call(_, args) => args.iter().any(assigns),
     }
 }
 

@@ -2,9 +2,8 @@
 //! exposition.
 //!
 //! Metrics are always on: an update is a handful of relaxed atomic
-//! adds, cheap enough for every hot path in the pipeline (the most
-//! frequent observer, the SAT solve-latency histogram, sits next to an
-//! actual solver call). Registration is get-or-create by name, so
+//! adds, cheap enough for every hot path in the pipeline (per-query
+//! counters are summed per function and added once). Registration is get-or-create by name, so
 //! independent subsystems can share a metric without coordination;
 //! hot call sites should cache the returned handle (it is an `Arc`)
 //! in a `OnceLock` rather than re-resolving the name.
@@ -21,23 +20,20 @@ use std::time::Duration;
 
 /// Well-known metric names registered by the pipeline.
 pub mod names {
-    /// SAT queries that reached screen/memo/solver (`FeasStats::queries`).
-    pub const SAT_QUERIES: &str = "lcm_sat_queries_total";
-    /// Queries answered by the assumption-trie memo.
-    pub const SAT_MEMO_HITS: &str = "lcm_sat_memo_hits_total";
-    /// Queries avoided entirely by the reachability pre-screen.
+    /// Feasibility queries answered from block reachability
+    /// (`FeasStats::queries_avoided`; no query reaches a solver).
     pub const SAT_QUERIES_AVOIDED: &str = "lcm_sat_queries_avoided_total";
-    /// Candidate pairs dismissed by the block-reachability prefilter.
+    /// Candidate checks skipped by the engines' hoisted pre-screens
+    /// (`FeasStats::prefilter_hits`).
     pub const SAT_PREFILTER_HITS: &str = "lcm_sat_prefilter_hits_total";
-    /// Wall-clock latency of actual solver calls.
-    pub const SOLVE_LATENCY: &str = "lcm_solve_latency_seconds";
     /// Function results served from the store.
     pub const CACHE_HITS: &str = "lcm_cache_hits_total";
     /// Function results analyzed and inserted.
     pub const CACHE_MISSES: &str = "lcm_cache_misses_total";
     /// Function results that skipped the store (degraded/uncacheable).
     pub const CACHE_BYPASS: &str = "lcm_cache_bypass_total";
-    /// Resource-governor budget trips (timeouts, conflict/node/edge).
+    /// Resource-governor budget trips (timeouts, node/edge budgets,
+    /// injected faults).
     pub const GOVERNOR_TRIPS: &str = "lcm_governor_trips_total";
     /// Worker panics caught and degraded by the parallel driver.
     pub const WORKER_PANICS: &str = "lcm_worker_panics_total";
@@ -45,10 +41,6 @@ pub mod names {
     /// haunted baseline's path splits; the Clou engines never split a
     /// function).
     pub const WORK_UNITS: &str = "lcm_work_units_total";
-    /// Solver calls served by an already-warm persistent solver.
-    pub const SOLVER_REUSES: &str = "lcm_solver_reuses_total";
-    /// Learnt clauses retained across queries by persistent solvers.
-    pub const SAT_CLAUSES_RETAINED: &str = "lcm_sat_clauses_retained_total";
     /// Daemon connections accepted.
     pub const SERVE_REQUESTS: &str = "lcm_serve_requests_total";
     /// Daemon analyze requests completed, by engine.
@@ -275,8 +267,8 @@ pub fn exp_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
 }
 
 /// The default latency scale: 1 µs to ~4.2 s in ×4 steps (12 buckets
-/// plus the implicit `+Inf`). Wide enough for screen-avoided queries
-/// and governed solver timeouts alike.
+/// plus the implicit `+Inf`). Wide enough for an idle queue's waits and
+/// a whole cold analysis alike.
 pub fn latency_buckets() -> Vec<f64> {
     exp_buckets(1e-6, 4.0, 12)
 }
@@ -704,7 +696,7 @@ mod tests {
     fn snapshot_delta_merge_folds_worker_metrics() {
         // "Worker" registry: some baseline activity, then a task.
         let w = MetricsRegistry::new();
-        let c = w.counter("lcm_sat_queries_total", "queries");
+        let c = w.counter("lcm_sat_queries_avoided_total", "queries");
         let h = w.histogram("lcm_solve_latency_seconds", "latency", vec![0.01, 0.1]);
         let g = w.gauge("lcm_depth", "depth");
         c.add(10);
@@ -733,9 +725,10 @@ mod tests {
         assert_eq!(hd.count, 2);
         // "Supervisor" registry with its own prior counts.
         let s = MetricsRegistry::new();
-        s.counter("lcm_sat_queries_total", "queries").add(100);
+        s.counter("lcm_sat_queries_avoided_total", "queries")
+            .add(100);
         s.merge_delta(&delta);
-        assert_eq!(s.counter("lcm_sat_queries_total", "").get(), 107);
+        assert_eq!(s.counter("lcm_sat_queries_avoided_total", "").get(), 107);
         let sh = s
             .histogram("lcm_solve_latency_seconds", "", vec![0.01, 0.1])
             .snapshot();
@@ -745,7 +738,7 @@ mod tests {
         // Merging the same delta again keeps adding (caller tracks
         // what was already shipped).
         s.merge_delta(&delta);
-        assert_eq!(s.counter("lcm_sat_queries_total", "").get(), 114);
+        assert_eq!(s.counter("lcm_sat_queries_avoided_total", "").get(), 114);
         // Mismatched bounds are dropped, not mis-bucketed.
         let t = MetricsRegistry::new();
         t.histogram("lcm_solve_latency_seconds", "", vec![1.0]);

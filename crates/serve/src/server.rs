@@ -51,7 +51,9 @@ pub struct ServeConfig {
     pub socket: PathBuf,
     /// Optional TCP listen address (`host:port`; `host:0` picks a free
     /// port, see [`ServerHandle::tcp_addr`]). The TCP listener serves
-    /// the identical protocol through the identical code path.
+    /// the identical protocol through the identical code path, except
+    /// that it refuses `analyze {"file": …}`: a remote peer must not
+    /// read the daemon's files.
     pub tcp: Option<String>,
     /// Worker threads serving requests. `0` means available cores.
     pub workers: usize,
@@ -63,7 +65,8 @@ pub struct ServeConfig {
     /// that keeps one pipelining client from monopolizing the queue.
     pub fairness_cap: usize,
     /// Per-frame size cap; longer request lines are answered with a
-    /// per-frame error (v2) or an error-then-close (v1). Defaults to
+    /// per-frame error (v2) or an error-then-close (v1). A file named by
+    /// `analyze {"file": …}` is held to the same cap. Defaults to
     /// [`wire::MAX_FRAME`]; tests shrink it.
     pub max_frame: usize,
     /// Directory holding `results.lcmstore`; `None` disables the cache.
@@ -722,6 +725,7 @@ fn conn_loop(shared: &Arc<Shared>, stream: Stream) {
         inflight: Mutex::new(HashSet::new()),
         space: Condvar::new(),
     });
+    let tcp = matches!(stream, Stream::Tcp(_));
     let mut reader = FrameReader::new(stream);
     let mut v2 = false;
     loop {
@@ -771,6 +775,20 @@ fn conn_loop(shared: &Arc<Shared>, stream: Stream) {
                 );
                 continue;
             }
+        }
+        if tcp && frame.req.reads_file() {
+            shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
+            shared.write_reply(
+                &conn,
+                &wire::error_reply_id(
+                    frame.id.as_ref(),
+                    "`file` is only accepted on the Unix socket; send `source` over TCP",
+                ),
+            );
+            if v2 {
+                continue;
+            }
+            return;
         }
         let done = route_frame(shared, &conn, frame.id, frame.req, v2);
         if done || !v2 {
@@ -1045,6 +1063,20 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Reads the file an `analyze` request names, refusing one longer than
+/// `max` bytes: a file source gets the frame cap an inline one has.
+fn read_source(path: &str, max: usize) -> Result<String, String> {
+    use std::io::Read;
+    let mut source = String::new();
+    let read =
+        std::fs::File::open(path).and_then(|f| f.take(max as u64 + 1).read_to_string(&mut source));
+    match read {
+        Ok(n) if n > max => Err(format!("`{path}` is larger than {max} bytes")),
+        Ok(_) => Ok(source),
+        Err(e) => Err(format!("cannot read `{path}`: {e}")),
+    }
+}
+
 /// Runs one analyze item (compile → cache-or-engines) and returns the
 /// rendered v1 reply line, or the error string destined for the reply.
 ///
@@ -1056,9 +1088,7 @@ fn worker_loop(shared: &Shared) {
 fn analyze_rendered(shared: &Shared, item: &AnalyzeItem) -> Result<Arc<str>, String> {
     let source = match (&item.source, &item.file) {
         (Some(s), _) => s.clone(),
-        (None, Some(path)) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?
-        }
+        (None, Some(path)) => read_source(path, shared.config.max_frame)?,
         (None, None) => return Err("analyze needs `source` or `file`".into()),
     };
     if let Some(line) = memo_replay(shared, item.engine, &source) {

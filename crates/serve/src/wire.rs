@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! {"cmd": "analyze", "source": "<mini-C>", "engine": "pht"}
-//! {"cmd": "analyze", "file": "/path/to/prog.c", "engine": "stl"}
+//! {"cmd": "analyze", "file": "/path/to/prog.c", "engine": "stl"}   (Unix socket only)
 //! {"cmd": "status"}
 //! {"cmd": "stats"}
 //! {"cmd": "metrics"}
@@ -63,7 +63,8 @@ pub const MAX_FRAME: usize = 64 << 20;
 pub struct AnalyzeItem {
     /// Inline source text, if given.
     pub source: Option<String>,
-    /// Server-side path to read instead, if given.
+    /// Server-side path to read instead, if given. Accepted on the Unix
+    /// socket only, and read up to the frame cap.
     pub file: Option<String>,
     /// Engine to run.
     pub engine: EngineKind,
@@ -92,6 +93,17 @@ pub enum Request {
     Metrics,
     /// Graceful shutdown after in-flight requests drain.
     Shutdown,
+}
+
+impl Request {
+    /// Whether the request names a file for the server to read.
+    pub fn reads_file(&self) -> bool {
+        match self {
+            Request::Analyze { file, .. } => file.is_some(),
+            Request::AnalyzeBatch(items) => items.iter().any(|i| i.file.is_some()),
+            _ => false,
+        }
+    }
 }
 
 /// A decoded frame: the request plus the client-chosen `id`, if any.

@@ -155,6 +155,66 @@ fn malformed_requests_get_error_replies_not_hangs() {
     handle.join().unwrap();
 }
 
+/// A program nested past the front end's depth cap gets an error reply
+/// from a worker on the default 2 MiB stack, and the daemon keeps
+/// serving.
+#[test]
+fn deeply_nested_source_is_an_error_reply() {
+    let socket = temp_socket("deep");
+    let handle = Server::spawn(ServeConfig::new(&socket)).unwrap();
+    let client = Client::new(&socket);
+
+    let deep = format!(
+        "int t; void f(int y) {{ t = {}y{}; }}",
+        "(".repeat(1000),
+        ")".repeat(1000)
+    );
+    match client.analyze_source(&deep, EngineKind::Pht) {
+        Err(ClientError::Server(msg)) => {
+            assert!(
+                msg.contains("compile error") && msg.contains("deeper than"),
+                "{msg}"
+            )
+        }
+        other => panic!("expected a compile error, got {other:?}"),
+    }
+    let reply = client.analyze_source(VICTIM, EngineKind::Pht).unwrap();
+    assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true));
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A file the daemon reads is held to the frame cap, as inline source
+/// is: one byte over is refused before it reaches the compiler.
+#[test]
+fn file_sources_are_held_to_the_frame_cap() {
+    let socket = temp_socket("fcap");
+    let mut config = ServeConfig::new(&socket);
+    config.max_frame = 1024;
+    let handle = Server::spawn(config).unwrap();
+    let client = Client::new(&socket);
+    let path = std::env::temp_dir().join(format!("lcm-{}-fcap.c", std::process::id()));
+    let file = path.display().to_string();
+
+    // Exactly at the cap: a program padded with a comment.
+    let at_cap = format!("{VICTIM}//{}", "x".repeat(1022 - VICTIM.len()));
+    assert_eq!(at_cap.len(), 1024);
+    std::fs::write(&path, &at_cap).unwrap();
+    let reply = client.analyze_file(&file, EngineKind::Pht).unwrap();
+    assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true));
+
+    std::fs::write(&path, "x".repeat(1025)).unwrap();
+    match client.analyze_file(&file, EngineKind::Pht) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("larger than 1024 bytes"), "{msg}"),
+        other => panic!("expected a size error, got {other:?}"),
+    }
+
+    std::fs::remove_file(&path).ok();
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // Protocol v2: persistent multiplexed connections.
 // ---------------------------------------------------------------------------
@@ -732,6 +792,55 @@ fn tcp_listener_serves_identical_replies() {
         .unwrap()
         .contains("# TYPE lcm_serve_requests_total counter"));
 
+    unix.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A TCP peer may not make the daemon read its files: `file` is refused
+/// on v1 and v2 frames (the v2 connection stays usable), while the Unix
+/// socket still accepts it.
+#[test]
+fn tcp_listener_refuses_file_requests() {
+    let socket = temp_socket("tcpf");
+    let mut config = ServeConfig::new(&socket);
+    config.tcp = Some("127.0.0.1:0".into());
+    let handle = Server::spawn(config).unwrap();
+    let addr = handle.tcp_addr().expect("tcp listener bound").to_string();
+    let path = std::env::temp_dir().join(format!("lcm-{}-tcpf.c", std::process::id()));
+    std::fs::write(&path, VICTIM).unwrap();
+    let file = path.display().to_string();
+
+    let unix = Client::new(&socket);
+    let tcp = Client::tcp(&addr);
+    match tcp.analyze_file(&file, EngineKind::Pht) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("Unix socket"), "{msg}"),
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    let mut conn = tcp.connect().unwrap();
+    let batch = Json::Obj(vec![
+        ("cmd".to_string(), Json::Str("analyze_batch".into())),
+        ("id".to_string(), Json::Num(7.0)),
+        (
+            "batch".to_string(),
+            Json::Arr(vec![Json::Obj(vec![(
+                "file".to_string(),
+                Json::Str(file.clone()),
+            )])]),
+        ),
+    ]);
+    conn.send_line(&batch.render()).unwrap();
+    let v = lcm_core::jsonw::parse(conn_recv_raw(&mut conn).trim()).unwrap();
+    let err = v.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(err.contains("Unix socket"), "{v:?}");
+    let id = conn.send_analyze(VICTIM, EngineKind::Pht).unwrap();
+    let (rid, reply) = conn.recv().unwrap();
+    assert_eq!(rid, id);
+    assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true));
+
+    let reply = unix.analyze_file(&file, EngineKind::Pht).unwrap();
+    assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true));
+
+    std::fs::remove_file(&path).ok();
     unix.shutdown().unwrap();
     handle.join().unwrap();
 }

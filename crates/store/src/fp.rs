@@ -11,7 +11,7 @@
 //! * every configuration knob that changes completed findings
 //!   (speculation capacities, window size, class filters, extension
 //!   toggles). Knobs that only change *how fast* the same findings are
-//!   produced — `jobs`, `disable_prefilter`, budgets, fault plans — are
+//!   produced — `jobs`, budgets, fault plans — are
 //!   deliberately excluded, so a warm cache survives a thread-count or
 //!   budget change.
 //!
@@ -220,8 +220,7 @@ mod tests {
         let a = clou_fingerprint(&m, "victim", &base, EngineKind::Pht);
         let mut cfg = base.clone();
         cfg.jobs = 7;
-        cfg.disable_prefilter = true;
-        cfg.budgets.max_conflicts = Some(12);
+        cfg.budgets.max_saeg_nodes = Some(12);
         assert_eq!(a, clou_fingerprint(&m, "victim", &cfg, EngineKind::Pht));
     }
 

@@ -69,7 +69,10 @@ lifetime, written on shutdown. `--events-out` appends a JSONL
 supervision event log (kills, restarts, steals, redeliveries, crash
 forensics) in fleet mode. `client metrics` prints Prometheus
 exposition text (the one reply that is not a JSON line).
-`client analyze -` reads mini-C source from stdin. `store compact`
+`client analyze -` reads mini-C source from stdin. `analyze --file`
+has the daemon read PATH over `--socket`; over `--tcp`, where the
+daemon refuses file paths, the client reads it and sends the source.
+`store compact`
 rewrites DIR/results.lcmstore keeping only the live (latest) record
 per fingerprint, via an atomic temp-file-plus-rename. `fuzz` runs the
 differential sweep of DESIGN.md §6i: COUNT seed-keyed random programs
@@ -300,6 +303,7 @@ fn client(args: &[String]) -> ExitCode {
             Some(v) => parse_num(&v, "--retries")?,
             None => 1,
         };
+        let over_tcp = tcp.is_some();
         let client = match (socket, tcp) {
             (Some(path), None) => Client::new(path),
             (None, Some(addr)) => Client::tcp(addr),
@@ -340,6 +344,12 @@ fn client(args: &[String]) -> ExitCode {
                 args.retain(|a| a != "-");
                 match (source, file, stdin) {
                     (Some(src), None, false) => client.analyze_source(&src, engine),
+                    // The daemon reads files only for Unix-socket peers.
+                    (None, Some(path), false) if over_tcp => {
+                        let src = std::fs::read_to_string(&path)
+                            .map_err(|e| format!("reading {path}: {e}"))?;
+                        client.analyze_source(&src, engine)
+                    }
                     (None, Some(path), false) => client.analyze_file(&path, engine),
                     (None, None, true) => {
                         let mut src = String::new();

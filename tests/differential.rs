@@ -1,36 +1,20 @@
-//! Tier-1: the job count and persistent incremental SAT are
-//! observational no-ops.
+//! Tier-1: the job count is an observational no-op.
 //!
-//! Two switches sit on the hot path and neither may move a finding:
-//!
-//! 1. **Job count** — the Clou engines fan functions out over worker
-//!    threads, one thread per function, and reassemble the reports in
-//!    module order; the haunted baseline also splits a function's
-//!    enumerated paths over workers and merges them in path order. So
-//!    `--jobs 2/4/8` must render byte-identical to serial for every
-//!    engine.
-//! 2. **Persistent incremental solving** — one solver per function kept
-//!    warm across the assumption-stack queries, learnt clauses
-//!    retained. Satisfiability is semantic, so the fresh-solver-per-
-//!    query oracle (`disable_incremental` / `LCM_DISABLE_INCREMENTAL`)
-//!    must produce the same reports.
+//! The Clou engines fan functions out over worker threads, one thread
+//! per function, and reassemble the reports in module order; the
+//! haunted baseline also splits a function's enumerated paths over
+//! workers and merges them in path order. So `--jobs 2/4/8` must render
+//! byte-identical to serial for every engine.
 //!
 //! This file runs inside the `LCM_FAULT` CI matrix. Faults key off the
 //! function index, and a function's query sequence, and so its trip
 //! point, is the serial one at every job count. So every function's
 //! findings and the rendered module report must match exactly even
 //! while faults fire, degraded functions' partial findings included.
-//! The incremental-vs-oracle comparison is serial on both sides (same
-//! query sequence, same governed abort points), so it stays byte-exact
-//! under faults too.
 
 use lcm::detect::{Detector, DetectorConfig, EngineKind};
 use lcm::haunted::{HauntedConfig, HauntedEngine};
 use lcm::serve::wire::module_report_json;
-
-fn env_faults_armed() -> bool {
-    std::env::var(lcm::core::fault::FAULT_ENV).is_ok_and(|v| !v.trim().is_empty())
-}
 
 /// Multi-branch, multi-load victims over several functions, so every
 /// engine runs more than one work unit per function and the functions
@@ -57,19 +41,12 @@ fn compile() -> lcm::ir::Module {
 const ENGINES: [EngineKind; 3] = [EngineKind::Pht, EngineKind::Stl, EngineKind::Psf];
 
 /// The configurations the cross-jobs comparison runs under: the
-/// default, the fresh-solver oracle, and every switch that changes
-/// which classify path a candidate chain takes.
+/// default and every switch that changes which classify path a
+/// candidate chain takes.
 fn job_split_configs() -> Vec<(&'static str, DetectorConfig)> {
     let d = DetectorConfig::default;
     vec![
         ("default", d()),
-        (
-            "disable_incremental",
-            DetectorConfig {
-                disable_incremental: true,
-                ..d()
-            },
-        ),
         (
             "detect_interference",
             DetectorConfig {
@@ -136,48 +113,6 @@ fn findings_are_identical_across_job_counts_for_every_engine() {
                     "{label}: rendered module report must be byte-identical"
                 );
             }
-        }
-    }
-}
-
-/// The persistent incremental solver and the fresh-solver-per-query
-/// oracle must render byte-identical reports — serial on both sides, so
-/// this holds under every fault campaign too. The pre-filter is
-/// disabled to force real solver traffic (the litmus-shaped victims
-/// are otherwise fully pre-screen-decidable; see tests/budgets.rs).
-#[test]
-fn incremental_and_oracle_solving_render_identical_reports() {
-    let m = compile();
-    for engine in ENGINES {
-        let run = |disable_incremental: bool| {
-            Detector::new(DetectorConfig {
-                jobs: 1,
-                disable_prefilter: true,
-                disable_incremental,
-                ..DetectorConfig::default()
-            })
-            .analyze_module(&m, engine)
-        };
-        let incremental = run(false);
-        let oracle = run(true);
-        assert_eq!(
-            module_report_json(&incremental).render(),
-            module_report_json(&oracle).render(),
-            "{engine:?}: incremental on/off must not move a finding"
-        );
-        // The counters tell the two modes apart: oracle mode never
-        // reuses a solver; warm persistent solvers do (skipped under
-        // fault campaigns, where governed aborts cut solver traffic).
-        if !env_faults_armed() {
-            assert_eq!(
-                oracle.timings().solver_reuses,
-                0,
-                "{engine:?}: oracle mode must never reuse a solver"
-            );
-            assert!(
-                incremental.timings().solver_reuses > 0,
-                "{engine:?}: persistent mode should reuse warm solvers"
-            );
         }
     }
 }

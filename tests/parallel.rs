@@ -1,15 +1,10 @@
 //! Tier-1: the parallel analysis driver is an observational no-op.
 //!
-//! Two guarantees back every `--jobs` flag in the bench binaries:
-//!
-//! 1. `analyze_module` produces *identical* findings (not just identical
-//!    counts) for any worker count — results are collected in function
-//!    order, and each function's analysis is self-contained;
-//! 2. the feasibility memo inside the SAT layer only short-circuits
-//!    queries whose answer a fresh, uncached solver would reproduce.
+//! `analyze_module` produces *identical* findings (not just identical
+//! counts) for any worker count — results are collected in function
+//! order, and each function's analysis is self-contained. This backs
+//! every `--jobs` flag in the bench binaries.
 
-use lcm::aeg::{Feasibility, Saeg};
-use lcm::corpus::synth::{synthetic_library, SynthConfig};
 use lcm::corpus::{all_litmus, litmus_pht, litmus_stl};
 use lcm::detect::{Detector, DetectorConfig, EngineKind};
 use lcm::haunted::{HauntedConfig, HauntedEngine};
@@ -96,59 +91,4 @@ fn haunted_baseline_is_deterministic_across_job_counts() {
             assert_eq!(leaks(&serial), leaks(&par), "{suite}/{}", b.name);
         }
     }
-}
-
-/// Memoized feasibility answers equal fresh-solver answers: replay a
-/// deterministic query workload on a seeded synthetic module against
-/// (a) one trie-memoizing instance with the reachability pre-screen
-/// force-disabled and (b) a fresh pre-screening instance per query —
-/// cross-validating the trie memo, the solver, and the pre-screen
-/// against each other.
-#[test]
-fn feasibility_memo_matches_uncached_solving() {
-    let cfg = SynthConfig {
-        seed: 0xfea5,
-        functions: 4,
-        ..SynthConfig::libsodium_scale()
-    };
-    let (src, _) = synthetic_library(cfg);
-    let m = lcm::minic::compile(&src).expect("synthetic library compiles");
-    let det = Detector::new(DetectorConfig::default());
-
-    let mut total_queries = 0u64;
-    let mut total_hits = 0u64;
-    for f in m.public_functions() {
-        let acfg = lcm::ir::acfg::build_acfg(&m, &f.name).expect("acfg");
-        let saeg = Saeg::from_acfg(&f.name, acfg, det.config().spec);
-        let mut memoized = Feasibility::with_prefilter(&saeg, false);
-        let blocks: Vec<_> = saeg.topo_blocks().to_vec();
-        // Ask each pairwise reachability question twice: the second
-        // round is answered from the memo and must not change verdicts.
-        for round in 0..2 {
-            for &a in &blocks {
-                for &b in &blocks {
-                    let la = memoized.arch_lit(a);
-                    let lb = memoized.arch_lit(b);
-                    let mark = memoized.mark();
-                    memoized.push(la);
-                    memoized.push(lb);
-                    let got = memoized.check_stack();
-                    memoized.truncate(mark);
-
-                    let mut fresh = Feasibility::new(&saeg);
-                    let expect = fresh.check(&[la, lb]);
-                    assert_eq!(got, expect, "{}: {a:?},{b:?} round {round}", f.name);
-                }
-            }
-        }
-        let stats = memoized.stats();
-        total_queries += stats.queries;
-        total_hits += stats.memo_hits;
-    }
-    assert!(total_queries > 0);
-    // Round two is pure memo traffic, so at least half the queries hit.
-    assert!(
-        total_hits * 2 >= total_queries,
-        "memo should absorb the replay: {total_hits}/{total_queries}"
-    );
 }

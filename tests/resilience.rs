@@ -1,8 +1,8 @@
 //! Tier-1: the resilience layer degrades gracefully and is an
 //! observational no-op when idle.
 //!
-//! Three guarantees back the `--timeout-ms`/`--max-conflicts` flags and
-//! the `LCM_FAULT` injection matrix:
+//! Three guarantees back the `--timeout-ms` flag and the `LCM_FAULT`
+//! injection matrix:
 //!
 //! 1. with no faults armed and budgets at their defaults (or merely
 //!    generous), findings are *identical* to an ungoverned run and every
@@ -75,7 +75,6 @@ fn generous_budgets_are_an_observational_noop() {
     }
     let generous = Budgets {
         timeout: Some(Duration::from_secs(3600)),
-        max_conflicts: Some(u64::MAX / 2),
         max_saeg_nodes: Some(usize::MAX / 2),
         max_saeg_edges: Some(usize::MAX / 2),
     };
