@@ -34,6 +34,7 @@ fn run(cfg: DetectorConfig, engine: EngineKind) -> (usize, usize, usize, u128) {
 
 fn main() {
     let args = cli::parse(std::env::args().skip(1));
+    args.reject_unknown(&[]);
     let jobs = args.jobs;
     args.start_tracing();
     let t0 = Instant::now();

@@ -19,6 +19,7 @@ use lcm_corpus::synth::SynthConfig;
 
 fn main() {
     let args = cli::parse(std::env::args().skip(1));
+    args.reject_unknown(&["--big"]);
     let big = args.has("--big");
     let cfg = if big {
         SynthConfig::openssl_scale()

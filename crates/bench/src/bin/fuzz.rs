@@ -141,38 +141,21 @@ fn run_rung(rung: &Rung, mode: Mode, jobs: usize) -> (u64, f64) {
 }
 
 fn main() {
-    let args = cli::parse(std::env::args().skip(1));
+    let mut args = cli::parse(std::env::args().skip(1));
     let quick = args.has("--quick");
     let jobs = effective_jobs(args.jobs);
-    let mut seed = 9u64;
-    let mut count = if quick { 128 } else { 512 };
-    let mut budget_ms = if quick { 250 } else { 2000 };
-    let mut rest = args.rest.clone();
-    rest.retain(|a| a != "--quick");
-    let i = 0;
-    while i < rest.len() {
-        let take = |rest: &mut Vec<String>, i: usize, flag: &str| -> u64 {
-            if i + 1 >= rest.len() {
-                eprintln!("error: {flag} needs a value");
-                std::process::exit(2);
-            }
-            let v = rest.remove(i + 1);
-            rest.remove(i);
+    let mut num = |flag: &str, default: u64| -> u64 {
+        args.take_value(flag).map_or(default, |v| {
             v.parse().unwrap_or_else(|_| {
                 eprintln!("error: {flag} expects a number, got {v:?}");
                 std::process::exit(2);
             })
-        };
-        match rest[i].as_str() {
-            "--seed" => seed = take(&mut rest, i, "--seed"),
-            "--count" => count = take(&mut rest, i, "--count") as usize,
-            "--budget-ms" => budget_ms = take(&mut rest, i, "--budget-ms"),
-            other => {
-                eprintln!("error: unknown fuzz bench argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
+        })
+    };
+    let seed = num("--seed", 9);
+    let count = num("--count", if quick { 128 } else { 512 }) as usize;
+    let budget_ms = num("--budget-ms", if quick { 250 } else { 2000 });
+    args.reject_unknown(&["--quick"]);
     let budget = Duration::from_millis(budget_ms);
     let wall = Instant::now();
 

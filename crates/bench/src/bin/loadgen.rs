@@ -90,21 +90,7 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Pulls `--flag VALUE` / `--flag=VALUE` out of the leftover args.
-fn take_value(rest: &mut Vec<String>, flag: &str) -> Option<String> {
-    let eq = format!("{flag}=");
-    let i = rest.iter().position(|a| a == flag || a.starts_with(&eq))?;
-    let a = rest.remove(i);
-    if let Some(v) = a.strip_prefix(&eq) {
-        return Some(v.to_string());
-    }
-    if i < rest.len() {
-        return Some(rest.remove(i));
-    }
-    die(&format!("{flag} needs a value"))
-}
-
-fn parse_opts(rest: &mut Vec<String>) -> Opts {
+fn parse_opts(args: &mut cli::BenchArgs) -> Opts {
     let num = |v: Option<String>, flag: &str, default: u64| -> u64 {
         v.map_or(default, |s| {
             s.parse()
@@ -117,7 +103,7 @@ fn parse_opts(rest: &mut Vec<String>) -> Opts {
                 .unwrap_or_else(|_| die(&format!("{flag} expects a number, got {s:?}")))
         })
     };
-    let mode = match take_value(rest, "--mode").as_deref() {
+    let mode = match args.take_value("--mode").as_deref() {
         None | Some("suite") => Mode::Suite,
         Some("oneshot") => Mode::Oneshot,
         Some("pipeline") => Mode::Pipeline,
@@ -126,13 +112,13 @@ fn parse_opts(rest: &mut Vec<String>) -> Opts {
             "--mode expects oneshot|pipeline|batch|suite, got {m:?}"
         )),
     };
-    let mix = match take_value(rest, "--mix").as_deref() {
+    let mix = match args.take_value("--mix").as_deref() {
         None | Some("warm") => Mix::Warm,
         Some("cold") => Mix::Cold,
         Some("mixed") => Mix::Mixed,
         Some(m) => die(&format!("--mix expects warm|cold|mixed, got {m:?}")),
     };
-    let engine = match take_value(rest, "--engine").as_deref() {
+    let engine = match args.take_value("--engine").as_deref() {
         None | Some("pht") => EngineKind::Pht,
         Some("stl") => EngineKind::Stl,
         Some("psf") => EngineKind::Psf,
@@ -140,16 +126,16 @@ fn parse_opts(rest: &mut Vec<String>) -> Opts {
     };
     Opts {
         mode,
-        requests: num(take_value(rest, "--requests"), "--requests", 64).max(1),
-        depth: num(take_value(rest, "--depth"), "--depth", 8).max(1) as usize,
-        batch: num(take_value(rest, "--batch"), "--batch", 16).max(1) as usize,
-        rps: float(take_value(rest, "--rps"), "--rps").unwrap_or(0.0),
+        requests: num(args.take_value("--requests"), "--requests", 64).max(1),
+        depth: num(args.take_value("--depth"), "--depth", 8).max(1) as usize,
+        batch: num(args.take_value("--batch"), "--batch", 16).max(1) as usize,
+        rps: float(args.take_value("--rps"), "--rps").unwrap_or(0.0),
         mix,
         engine,
-        assert_rps: float(take_value(rest, "--assert-rps"), "--assert-rps"),
-        assert_speedup: float(take_value(rest, "--assert-speedup"), "--assert-speedup"),
-        socket: take_value(rest, "--socket"),
-        tcp: take_value(rest, "--tcp"),
+        assert_rps: float(args.take_value("--assert-rps"), "--assert-rps"),
+        assert_speedup: float(args.take_value("--assert-speedup"), "--assert-speedup"),
+        socket: args.take_value("--socket"),
+        tcp: args.take_value("--tcp"),
     }
 }
 
@@ -432,10 +418,8 @@ fn main() {
     // *this* binary as its workers: divert before any parsing.
     lcm_fleet::maybe_run_worker();
     let mut args = cli::parse(std::env::args().skip(1));
-    let opts = parse_opts(&mut args.rest);
-    if let Some(unknown) = args.rest.first() {
-        die(&format!("unknown flag {unknown:?}"));
-    }
+    let opts = parse_opts(&mut args);
+    args.reject_unknown(&[]);
 
     // Target: an existing daemon, or a self-spawned in-process server.
     let mut spawned = None;

@@ -13,6 +13,7 @@ use lcm_detect::{Detector, DetectorConfig, EngineKind};
 
 fn main() {
     let args = cli::parse(std::env::args().skip(1));
+    args.reject_unknown(&[]);
     let cfg = SynthConfig::libsodium_scale();
     let (src, truth) = synthetic_library(cfg);
     let m = lcm_minic::compile(&src).expect("synthetic library compiles");

@@ -31,6 +31,7 @@ fn main() {
     // current executable): divert to the worker loop before any parsing.
     lcm_fleet::maybe_run_worker();
     let args = cli::parse(std::env::args().skip(1));
+    args.reject_unknown(&["--quick", "--repair"]);
     let quick = args.has("--quick");
     let do_repair = args.has("--repair");
 

@@ -5,7 +5,10 @@
 //! (machine-readable output next to the printed table) and
 //! `--trace-out PATH` (span recording to a Chrome-trace JSON). Flags
 //! the harness does not know end up in [`BenchArgs::rest`] for the
-//! binary's own switches (`--quick`, `--repair`, `--big`, …).
+//! binary's own switches (`--quick`, `--repair`, `--big`, …) and
+//! valued flags ([`BenchArgs::take_value`]); each binary then calls
+//! [`BenchArgs::reject_unknown`], so a mistyped or retired flag is an
+//! error instead of being silently ignored.
 
 use lcm_core::govern::Budgets;
 use std::time::Duration;
@@ -50,6 +53,40 @@ impl BenchArgs {
     /// `true` if a leftover flag like `--quick` is present.
     pub fn has(&self, flag: &str) -> bool {
         self.rest.iter().any(|a| a == flag)
+    }
+
+    /// Pulls a binary's own `--flag VALUE` / `--flag=VALUE` out of the
+    /// leftover arguments. Exits with status 2 if the value is missing.
+    pub fn take_value(&mut self, flag: &str) -> Option<String> {
+        let eq = format!("{flag}=");
+        let i = self
+            .rest
+            .iter()
+            .position(|a| a == flag || a.starts_with(&eq))?;
+        let a = self.rest.remove(i);
+        if let Some(v) = a.strip_prefix(&eq) {
+            return Some(v.to_string());
+        }
+        if i < self.rest.len() {
+            return Some(self.rest.remove(i));
+        }
+        die(&format!("{flag} needs a value"))
+    }
+
+    /// Exits with status 2, naming the first leftover argument that is
+    /// not one of the binary's own `switches`. Call it after taking the
+    /// binary's valued flags with [`BenchArgs::take_value`].
+    pub fn reject_unknown(&self, switches: &[&str]) {
+        if let Some(a) = self.unknown(switches) {
+            die(&format!("unknown flag {a:?}"));
+        }
+    }
+
+    fn unknown(&self, switches: &[&str]) -> Option<&str> {
+        self.rest
+            .iter()
+            .map(String::as_str)
+            .find(|a| !switches.contains(a))
     }
 
     /// The per-function resource budgets these flags request
@@ -312,5 +349,26 @@ mod tests {
         assert_eq!(a.rest, vec!["--quick", "--repair"]);
         assert!(a.has("--quick"));
         assert!(!a.has("--big"));
+    }
+
+    #[test]
+    fn own_valued_flags_are_taken_in_both_styles() {
+        let mut a = args(&["--seed", "5", "--quick", "--count=7", "--seed=6"]);
+        assert_eq!(a.take_value("--seed").as_deref(), Some("5"));
+        assert_eq!(a.take_value("--count").as_deref(), Some("7"));
+        assert_eq!(a.take_value("--seed").as_deref(), Some("6"));
+        assert_eq!(a.take_value("--seed"), None);
+        assert_eq!(a.rest, vec!["--quick"]);
+    }
+
+    #[test]
+    fn the_first_flag_a_binary_does_not_know_is_named() {
+        let a = args(&["--quick", "--jobs", "1", "--max-conflicts", "5", "--bogus"]);
+        assert_eq!(a.unknown(&["--quick", "--repair"]), Some("--max-conflicts"));
+        assert_eq!(a.unknown(&[]), Some("--quick"));
+        let b = args(&["--repair", "--jobs=2", "--quick", "--json", "t.json"]);
+        assert_eq!(b.unknown(&["--quick", "--repair"]), None);
+        b.reject_unknown(&["--quick", "--repair"]);
+        assert_eq!(args(&["--jobs", "1"]).unknown(&[]), None);
     }
 }

@@ -82,13 +82,12 @@ impl RunSummary {
 
 fn timings_obj(t: &PhaseTimings) -> String {
     format!(
-        "{{\"acfg_build_secs\": {}, \"saeg_build_secs\": {}, \"encode_secs\": {}, \"classify_secs\": {}, \"baseline_secs\": {}, \"bh_enumerate_secs\": {}, \"bh_execute_secs\": {}, \"bh_witness_secs\": {}, \"cache_secs\": {}, \"other_secs\": {}, \"queries_avoided\": {}, \"prefilter_hits\": {}, \"cache_hits\": {}}}",
+        "{{\"acfg_build_secs\": {}, \"saeg_build_secs\": {}, \"encode_secs\": {}, \"classify_secs\": {}, \"baseline_secs\": {}, \"bh_execute_secs\": {}, \"bh_witness_secs\": {}, \"cache_secs\": {}, \"other_secs\": {}, \"queries_avoided\": {}, \"prefilter_hits\": {}, \"cache_hits\": {}}}",
         secs(t.acfg_build),
         secs(t.saeg_build),
         secs(t.encode),
         secs(t.classify),
         secs(t.baseline),
-        secs(t.bh_enumerate),
         secs(t.bh_execute),
         secs(t.bh_witness),
         secs(t.cache),

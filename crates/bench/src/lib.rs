@@ -189,16 +189,11 @@ fn run_bh(
             let sum = |f: fn(&lcm_haunted::HauntedReport) -> std::time::Duration| {
                 report.functions.iter().map(f).sum::<std::time::Duration>()
             };
-            let (enu, exe, wit) = (
-                sum(|r| r.t_enumerate),
-                sum(|r| r.t_execute),
-                sum(|r| r.t_witness),
-            );
+            let (exe, wit) = (sum(|r| r.t_execute), sum(|r| r.t_witness));
             PhaseTimings {
-                // `baseline` keeps only the remainder the three
-                // sub-phases don't account for (setup, merge).
-                baseline: report.total_runtime().saturating_sub(enu + exe + wit),
-                bh_enumerate: enu,
+                // `baseline` keeps only the remainder the two sub-phases
+                // don't account for (A-CFG build, report assembly).
+                baseline: report.total_runtime().saturating_sub(exe + wit),
                 bh_execute: exe,
                 bh_witness: wit,
                 ..PhaseTimings::default()

@@ -6,6 +6,10 @@
 //! work items through an atomic cursor (work stealing, so one slow
 //! function does not idle the other workers) and reassembles results in
 //! input order before returning.
+//!
+//! The function is the unit of work: the Clou engines and the haunted
+//! baseline both run each function on one thread, so nothing here
+//! splits a function or keeps per-worker state.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -54,70 +58,6 @@ where
                             break;
                         }
                         out.push((i, f(i, &items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut tagged: Vec<(usize, R)> = per_worker.drain(..).flatten().collect();
-    tagged.sort_by_key(|(i, _)| *i);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Like [`map_indexed`], but with **per-worker state**: each worker
-/// thread calls `init` once before claiming its first item and passes
-/// the state mutably to every `f` call it makes. The haunted baseline's
-/// path split is its one caller: `init` builds a per-worker oracle and
-/// scratch, which `f` reuses across the paths that worker drains. The
-/// Clou engines do not split a function; their unit of parallel work is
-/// the function, through [`map_indexed_catch`].
-///
-/// Determinism contract: results are reassembled in input order, so as
-/// long as `f(i, item)`'s *return value* does not depend on the worker
-/// state's history, output is byte-identical for any job count.
-/// `jobs <= 1` (or a single item) runs serially on the caller thread
-/// with one state, exactly like a plain loop.
-///
-/// # Panics
-///
-/// Propagates a panic from `init` or `f` (the scope joins all workers
-/// first).
-pub fn map_indexed_with<T, R, W, I, F>(items: &[T], jobs: usize, init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> W + Sync,
-    F: Fn(&mut W, usize, &T) -> R + Sync,
-{
-    let jobs = effective_jobs(jobs).min(items.len()).max(1);
-    if jobs <= 1 || items.len() <= 1 {
-        let mut w = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| f(&mut w, i, x))
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let mut per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut w = init();
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(&mut w, i, &items[i])));
                     }
                     out
                 })
@@ -224,30 +164,6 @@ mod tests {
         let items = [1u8, 2];
         let out = map_indexed(&items, 64, |_, &x| x as u32);
         assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn with_state_initializes_once_per_worker_and_keeps_order() {
-        let items: Vec<u32> = (0..64).collect();
-        for jobs in [1, 2, 4] {
-            let inits = AtomicUsize::new(0);
-            let out = map_indexed_with(
-                &items,
-                jobs,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    0u32 // per-worker call tally; must not leak into results
-                },
-                |calls, i, &x| {
-                    *calls += 1;
-                    assert_eq!(i as u32, x);
-                    x * 5
-                },
-            );
-            assert_eq!(out, items.iter().map(|x| x * 5).collect::<Vec<_>>());
-            let n = inits.load(Ordering::Relaxed);
-            assert!(n >= 1 && n <= jobs.max(1), "inits={n} jobs={jobs}");
-        }
     }
 
     #[test]

@@ -94,16 +94,12 @@ pub struct PhaseTimings {
     /// (everything in the engines after `encode`).
     pub classify: Duration,
     /// Baseline-tool (haunted re-execution checker) time *not*
-    /// attributed to one of the three `bh_*` sub-phases below: config
-    /// setup, per-function merge, report assembly. The full baseline
-    /// cost of a bench row is `baseline + bh_enumerate + bh_execute +
-    /// bh_witness`.
+    /// attributed to one of the two `bh_*` sub-phases below: A-CFG
+    /// construction, report assembly. The full baseline cost of a bench
+    /// row is `baseline + bh_execute + bh_witness`.
     pub baseline: Duration,
-    /// Baseline sub-phase: architectural path enumeration (the
-    /// 2^branches walk into the flat path arena).
-    pub bh_enumerate: Duration,
-    /// Baseline sub-phase: relational execution — per-path transient
-    /// sub-path forking and candidate collection.
+    /// Baseline sub-phase: relational execution — the walk over
+    /// architectural paths with its transient forks or bypass scans.
     pub bh_execute: Duration,
     /// Baseline sub-phase: witness checking — confirming deduplicated
     /// candidates via taint/feeding-load queries.
@@ -135,7 +131,6 @@ impl PhaseTimings {
         self.encode += other.encode;
         self.classify += other.classify;
         self.baseline += other.baseline;
-        self.bh_enumerate += other.bh_enumerate;
         self.bh_execute += other.bh_execute;
         self.bh_witness += other.bh_witness;
         self.cache += other.cache;
@@ -152,7 +147,6 @@ impl PhaseTimings {
             + self.encode
             + self.classify
             + self.baseline
-            + self.bh_enumerate
             + self.bh_execute
             + self.bh_witness
             + self.cache
@@ -168,13 +162,12 @@ impl PhaseTimings {
     pub fn render(&self) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         format!(
-            "acfg {:.1}ms | saeg {:.1}ms | encode {:.1}ms | classify {:.1}ms | baseline {:.1}ms (enum {:.1}ms, exec {:.1}ms, witness {:.1}ms) | cache {:.1}ms | other {:.1}ms | {} avoided, {} prefilter hits, {} cache hits",
+            "acfg {:.1}ms | saeg {:.1}ms | encode {:.1}ms | classify {:.1}ms | baseline {:.1}ms (exec {:.1}ms, witness {:.1}ms) | cache {:.1}ms | other {:.1}ms | {} avoided, {} prefilter hits, {} cache hits",
             ms(self.acfg_build),
             ms(self.saeg_build),
             ms(self.encode),
             ms(self.classify),
             ms(self.baseline),
-            ms(self.bh_enumerate),
             ms(self.bh_execute),
             ms(self.bh_witness),
             ms(self.cache),
@@ -427,7 +420,6 @@ mod tests {
             encode: d(3),
             classify: d(5),
             baseline: d(6),
-            bh_enumerate: d(14),
             bh_execute: d(15),
             bh_witness: d(16),
             cache: d(7),
@@ -450,7 +442,6 @@ mod tests {
             encode,
             classify,
             baseline,
-            bh_enumerate,
             bh_execute,
             bh_witness,
             cache,
@@ -465,7 +456,6 @@ mod tests {
         assert_eq!(encode, ms(103 + 203));
         assert_eq!(classify, ms(105 + 205));
         assert_eq!(baseline, ms(106 + 206));
-        assert_eq!(bh_enumerate, ms(114 + 214));
         assert_eq!(bh_execute, ms(115 + 215));
         assert_eq!(bh_witness, ms(116 + 216));
         assert_eq!(cache, ms(107 + 207));
@@ -480,7 +470,7 @@ mod tests {
         let mut t = distinct(1);
         t.other = Duration::ZERO;
         // tracked() must include every Duration field except `other`.
-        let tracked = Duration::from_millis(101 + 102 + 103 + 105 + 106 + 114 + 115 + 116 + 107);
+        let tracked = Duration::from_millis(101 + 102 + 103 + 105 + 106 + 115 + 116 + 107);
         assert_eq!(t.tracked(), tracked);
         let wall = tracked + Duration::from_millis(42);
         t.fill_other(wall);

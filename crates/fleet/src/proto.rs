@@ -328,7 +328,6 @@ fn encode_timings(w: &mut W, t: &PhaseTimings) {
         t.encode,
         t.classify,
         t.baseline,
-        t.bh_enumerate,
         t.bh_execute,
         t.bh_witness,
         t.cache,
@@ -349,7 +348,6 @@ fn decode_timings(r: &mut R) -> Result<PhaseTimings, Corrupt> {
         &mut t.encode,
         &mut t.classify,
         &mut t.baseline,
-        &mut t.bh_enumerate,
         &mut t.bh_execute,
         &mut t.bh_witness,
         &mut t.cache,

@@ -19,8 +19,17 @@
 //!
 //! PHT mode explores every transient sub-path in every window; STL mode
 //! additionally enumerates load × older-store bypass pairs per path —
-//! the product that makes `bh-stl` an order of magnitude slower than
+//! the product that makes `bh-stl` an order of magnitude costlier than
 //! `bh-pht` on the same inputs (Table 2).
+//!
+//! That cost is **charged, not paid**. Each path is charged what
+//! re-executing it would take ([`HauntedConfig::step_budget`] counts
+//! those steps), but the work itself is shared: a branch's transient
+//! walk depends only on its wrong-side block, so it runs once per
+//! block, and a bypass scan depends only on the path prefix, so it runs
+//! once per prefix of a depth-first walk over the paths. The verdict —
+//! leaks, paths explored, and where the budget ran out — is the one the
+//! per-path re-execution reaches; only the wall clock is smaller.
 //!
 //! # Examples
 //!
@@ -35,14 +44,14 @@
 //! assert!(report.total_leaks() >= 1); // found, but with no taxonomy
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use lcm_aeg::addr::AddrOracle;
+use lcm_aeg::addr::{AddrOracle, AliasResult, SymAddr};
 use lcm_aeg::taint::attacker_controlled;
 use lcm_core::speculation::SpeculationPrimitive;
 use lcm_ir::acfg::build_acfg;
-use lcm_ir::{BlockId, Function, Inst, InstId, Module, Terminator};
+use lcm_ir::{BlockId, Function, Inst, InstId, Module, Terminator, Value};
 
 /// Baseline configuration.
 #[derive(Debug, Clone, Copy)]
@@ -60,13 +69,16 @@ pub struct HauntedConfig {
     /// the same convention applies here (partial leaks + `exhausted =
     /// true`), but as a deterministic work budget rather than a wall
     /// clock so results are independent of machine load and of `jobs`.
+    /// Paths are charged in order, each with the full cost of
+    /// re-executing it, and the first path that starts with the budget
+    /// spent is cut along with every later one. The charge is a count:
+    /// shared work is done once, so the budget models BH's runtime but
+    /// not this crate's.
     pub step_budget: u64,
-    /// Worker threads: `0` uses all available cores, `1` is exact
-    /// serial execution. [`analyze_module`] splits the pool two-level —
-    /// across functions first, with left-over workers splitting each
-    /// function's enumerated paths. Reports are identical at every
-    /// value: per-path work is pure and results merge in path order,
-    /// with the step budget applied path-granularly during the merge.
+    /// Functions analyzed at once: `0` uses all available cores, `1` is
+    /// exact serial execution. Each function runs on one thread, so a
+    /// module with fewer functions than `jobs` leaves the spare workers
+    /// idle. Reports are identical at every value.
     pub jobs: usize,
 }
 
@@ -111,17 +123,15 @@ pub struct HauntedReport {
     pub leaks: Vec<HauntedLeak>,
     /// Architectural paths explored.
     pub paths_explored: usize,
-    /// Whether the path cap was hit (a "timeout").
+    /// Whether the path cap or the step budget was hit (a "timeout").
     pub exhausted: bool,
     /// Serial runtime.
     pub runtime: Duration,
-    /// Time enumerating architectural paths (the 2^branches walk).
-    pub t_enumerate: Duration,
-    /// Time in relational execution: transient forking (PHT) or bypass
-    /// pair enumeration (STL) over every explored path.
+    /// Time in relational execution: the walk over architectural paths
+    /// with its transient forks (PHT) or bypass scans (STL).
     pub t_execute: Duration,
-    /// Time confirming candidates as attacker-observable (taint walks /
-    /// feeding-load checks), deduplicated across paths.
+    /// Time confirming candidates as attacker-observable (the PHT taint
+    /// walks; STL confirms each pair as the walk finds it).
     pub t_witness: Duration,
     /// `Some(reason)` when this function's analysis was cut short (the
     /// A-CFG failed to build, or the worker panicked); its `leaks` are
@@ -168,18 +178,8 @@ pub fn analyze_module(
     config: HauntedConfig,
 ) -> HauntedModuleReport {
     let names: Vec<&str> = module.public_functions().map(|f| f.name.as_str()).collect();
-    // Split the worker pool between the two parallelism levels: fan out
-    // across functions first, and hand the leftover factor to each
-    // function's intra-function path splitting — so a module that is one
-    // big function (the mee-cbc/donna shape) still uses every worker.
-    let total = lcm_core::par::effective_jobs(config.jobs);
-    let outer = total.min(names.len()).max(1);
-    let inner_config = HauntedConfig {
-        jobs: (total / outer).max(1),
-        ..config
-    };
-    let results = lcm_core::par::map_indexed_catch(&names, outer, |_, name| {
-        analyze_function(module, name, engine, inner_config)
+    let results = lcm_core::par::map_indexed_catch(&names, config.jobs, |_, name| {
+        analyze_function(module, name, engine, config)
     });
     let functions = results
         .into_iter()
@@ -199,33 +199,31 @@ fn degraded_report(name: &str, reason: String) -> HauntedReport {
         paths_explored: 0,
         exhausted: false,
         runtime: Duration::ZERO,
-        t_enumerate: Duration::ZERO,
         t_execute: Duration::ZERO,
         t_witness: Duration::ZERO,
         degraded: Some(reason),
     }
 }
 
-/// Runs the baseline over one function. A function that does not exist
-/// (or has irreducible control flow) yields a degraded report, not a
-/// panic.
+/// Runs the baseline over one function on the calling thread. A function
+/// that does not exist (or has irreducible control flow) yields a
+/// degraded report, not a panic.
 ///
-/// The analysis runs in three timed phases:
+/// After the A-CFG is built, the analysis runs in two timed phases:
 ///
-/// 1. **path enumeration** — the 2^branches architectural walk, into a
-///    flat arena (`PathSet`) instead of one `Vec` per path;
-/// 2. **relational execution** — per-path transient forking (PHT) or
-///    bypass-pair enumeration (STL), producing *candidate* instructions;
-///    paths are independent, so with `jobs > 1` they are split across
-///    the worker pool and merged in path order;
-/// 3. **witness check** — candidates, deduplicated across all paths,
-///    are confirmed with the (path-independent) taint walk or
-///    feeding-load check, each computed once per distinct address.
+/// 1. **relational execution** — one depth-first walk over the
+///    architectural paths, then-side first, up to `max_paths` of them.
+///    Each path is charged its cost when the walk reaches its return,
+///    and its candidates are kept: the accesses transiently reached down
+///    the wrong side of each of its branches (PHT), or the later
+///    accesses whose address a bypassing load feeds (STL);
+/// 2. **witness check** — PHT candidates are confirmed with the taint
+///    walk, once per distinct address.
 ///
-/// The work budget is **path-granular**: it is checked before each path
-/// and charged with the path's full cost after it, so per-path results
-/// are pure functions of the path and the merged outcome is identical
-/// for any job count.
+/// The work budget is **path-granular**: a path is explored only if the
+/// paths before it left budget over, so once one path is cut every later
+/// one is. The walk checks this before each block it enters, so it keeps
+/// nothing from a cut path.
 pub fn analyze_function(
     module: &Module,
     fname: &str,
@@ -241,280 +239,156 @@ pub fn analyze_function(
             return r;
         }
     };
-
-    let mut paths = PathSet::new();
-    let mut exhausted = false;
-    {
-        let _span = lcm_obs::span("bh_enumerate", "haunted");
-        enumerate_paths(
-            &acfg,
-            acfg.entry(),
-            &mut Vec::new(),
-            &mut paths,
-            config.max_paths,
-            &mut exhausted,
-        );
+    match engine {
+        HauntedEngine::Pht => run(&acfg, fname, config, Pht::new(&acfg, config.rob), start),
+        HauntedEngine::Stl => run(&acfg, fname, config, Stl::new(&acfg, config.lsq), start),
     }
-    let t_enumerate = start.elapsed();
+}
 
+/// [`analyze_function`]'s two timed phases with one engine.
+fn run<E: Relational>(
+    f: &Function,
+    fname: &str,
+    config: HauntedConfig,
+    mut engine: E,
+    start: Instant,
+) -> HauntedReport {
     let t1 = Instant::now();
-    let mut budget: i64 = config.step_budget.max(1) as i64;
-    let mut paths_explored = 0usize;
-    let jobs = lcm_core::par::effective_jobs(config.jobs)
-        .min(paths.len())
-        .max(1);
-    let mut pht_cands: HashSet<InstId> = HashSet::new();
-    let mut stl_cands: HashSet<(InstId, InstId)> = HashSet::new();
+    let mut walk = PathWalk {
+        budget: config.step_budget.max(1) as i64,
+        max_paths: config.max_paths,
+        paths_explored: 0,
+        exhausted: false,
+    };
     {
         let mut span = lcm_obs::span("bh_execute", "haunted");
-        span.arg_u64("paths", paths.len() as u64);
-        if jobs <= 1 {
-            // Exact serial loop: shared scratch, early exit at the budget
-            // cutoff without touching the remaining paths.
-            let mut scratch = StlScratch::default();
-            let mut pht_scratch = PhtScratch::default();
-            let mut oracle = AddrOracle::new(&acfg);
-            let mut out = Vec::new();
-            for i in 0..paths.len() {
-                if budget <= 0 {
-                    exhausted = true; // the BH-style timeout: partial results
-                    break;
-                }
-                out.clear();
-                let cost = match engine {
-                    HauntedEngine::Pht => {
-                        pht_path_candidates(&acfg, paths.get(i), config, &mut pht_scratch, &mut out)
-                    }
-                    HauntedEngine::Stl => stl_path_candidates(
-                        &acfg,
-                        paths.get(i),
-                        config,
-                        &mut oracle,
-                        &mut scratch,
-                        &mut out,
-                    ),
-                };
-                budget -= cost as i64;
-                paths_explored += 1;
-                merge_candidates(engine, &out, &mut pht_cands, &mut stl_cands);
-            }
-        } else {
-            // Intra-function split: each worker owns one oracle/scratch
-            // pair and drains path indices off the shared cursor; results
-            // come back in path order, so the serial in-order merge below
-            // reproduces the jobs = 1 candidate set and budget cutoff
-            // exactly (computed-but-cut paths are discarded).
-            let indices: Vec<usize> = (0..paths.len()).collect();
-            work_units().add(indices.len() as u64);
-            let per_path = lcm_core::par::map_indexed_with(
-                &indices,
-                jobs,
-                || {
-                    (
-                        AddrOracle::new(&acfg),
-                        StlScratch::default(),
-                        PhtScratch::default(),
-                    )
-                },
-                |(oracle, scratch, pht_scratch), _, &i| {
-                    let mut out = Vec::new();
-                    let cost = match engine {
-                        HauntedEngine::Pht => {
-                            pht_path_candidates(&acfg, paths.get(i), config, pht_scratch, &mut out)
-                        }
-                        HauntedEngine::Stl => stl_path_candidates(
-                            &acfg,
-                            paths.get(i),
-                            config,
-                            oracle,
-                            scratch,
-                            &mut out,
-                        ),
-                    };
-                    (cost, out)
-                },
-            );
-            for (cost, out) in &per_path {
-                if budget <= 0 {
-                    exhausted = true;
-                    break;
-                }
-                budget -= *cost as i64;
-                paths_explored += 1;
-                merge_candidates(engine, out, &mut pht_cands, &mut stl_cands);
-            }
-        }
+        walk.visit(f, &mut engine, f.entry(), None);
+        span.arg_u64("paths", walk.paths_explored as u64);
     }
     let t_execute = t1.elapsed();
 
     let t2 = Instant::now();
     let leaks = {
         let _span = lcm_obs::span("bh_witness", "haunted");
-        match engine {
-            HauntedEngine::Pht => pht_witness(&acfg, fname, &pht_cands),
-            HauntedEngine::Stl => stl_witness(&acfg, fname, &stl_cands),
-        }
+        engine.leaks(f, fname)
     };
-    let t_witness = t2.elapsed();
-
     HauntedReport {
         name: fname.to_string(),
         leaks,
-        paths_explored,
-        exhausted,
+        paths_explored: walk.paths_explored,
+        exhausted: walk.exhausted,
         runtime: start.elapsed(),
-        t_enumerate,
         t_execute,
-        t_witness,
+        t_witness: t2.elapsed(),
         degraded: None,
     }
 }
 
-/// Enumerated paths in one flat arena: `blocks[starts[i]..starts[i+1]]`
-/// is path `i`. Replaces the per-path `Vec<BlockId>` clones that
-/// dominated enumeration-phase allocation.
-#[derive(Debug)]
-struct PathSet {
-    starts: Vec<u32>,
-    blocks: Vec<BlockId>,
+/// One engine's side of the path walk.
+trait Relational {
+    /// What [`Relational::leave`] needs to undo an `enter`.
+    type Mark;
+    /// Extends the current path with block `b`. `wrong` is the other
+    /// side of the branch `b` was reached from, if it was.
+    fn enter(&mut self, f: &Function, b: BlockId, wrong: Option<BlockId>) -> Self::Mark;
+    /// Takes the last entered block off the current path.
+    fn leave(&mut self, mark: Self::Mark);
+    /// The cost of re-executing the current path, which has just
+    /// reached a return.
+    fn path_cost(&self) -> u64;
+    /// The confirmed leaks of every explored path.
+    fn leaks(self, f: &Function, fname: &str) -> Vec<HauntedLeak>;
 }
 
-impl PathSet {
-    fn new() -> PathSet {
-        PathSet {
-            starts: vec![0],
-            blocks: Vec::new(),
+/// The depth-first walk over architectural paths, and its budget.
+struct PathWalk {
+    /// Step budget left; a path is explored only while it is positive.
+    budget: i64,
+    max_paths: usize,
+    paths_explored: usize,
+    exhausted: bool,
+}
+
+impl PathWalk {
+    /// Walks every path that continues the current one into `b`,
+    /// then-side first. A block the walk enters leads to at least one
+    /// return, and neither the budget nor the path count changes before
+    /// the walk reaches it, so whatever the engine finds on entering `b`
+    /// belongs to a path that is explored.
+    fn visit<E: Relational>(
+        &mut self,
+        f: &Function,
+        engine: &mut E,
+        b: BlockId,
+        wrong: Option<BlockId>,
+    ) {
+        if self.budget <= 0 || self.paths_explored >= self.max_paths {
+            self.exhausted = true; // the BH-style timeout: partial results
+            return;
+        }
+        let mark = engine.enter(f, b, wrong);
+        match &f.blocks[b.0 as usize].term {
+            Terminator::Ret(_) => {
+                self.budget -= engine.path_cost() as i64;
+                self.paths_explored += 1;
+            }
+            Terminator::Br(t) => self.visit(f, engine, *t, None),
+            Terminator::CondBr {
+                then_bb, else_bb, ..
+            } => {
+                self.visit(f, engine, *then_bb, Some(*else_bb));
+                self.visit(f, engine, *else_bb, Some(*then_bb));
+            }
+        }
+        engine.leave(mark);
+    }
+}
+
+/// Forks a transient walk follows before giving up.
+const FORK_GUARD: usize = 4096;
+
+/// PHT: at each conditional branch of a path, every transient sub-path
+/// down the side the path does not take. That walk depends only on its
+/// first block (and `rob`), so it runs once per block; a path is charged
+/// the sum of its branches' walk costs.
+struct Pht {
+    rob: usize,
+    /// Per block: the cost of the transient walk from it, once run.
+    walk_cost: Vec<Option<u64>>,
+    /// The current path's charge so far.
+    cost: u64,
+    /// Per instruction: whether a walk of an explored path reached it.
+    reached: Vec<bool>,
+}
+
+impl Pht {
+    fn new(f: &Function, rob: usize) -> Pht {
+        Pht {
+            rob,
+            walk_cost: vec![None; f.blocks.len()],
+            cost: 0,
+            reached: vec![false; f.insts.len()],
         }
     }
 
-    fn push(&mut self, path: &[BlockId]) {
-        self.blocks.extend_from_slice(path);
-        self.starts.push(self.blocks.len() as u32);
-    }
-
-    fn len(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    fn get(&self, i: usize) -> &[BlockId] {
-        &self.blocks[self.starts[i] as usize..self.starts[i + 1] as usize]
-    }
-}
-
-/// Enumerates architectural block paths through the (acyclic) A-CFG.
-fn enumerate_paths(
-    f: &Function,
-    b: BlockId,
-    cur: &mut Vec<BlockId>,
-    out: &mut PathSet,
-    cap: usize,
-    exhausted: &mut bool,
-) {
-    if out.len() >= cap {
-        *exhausted = true;
-        return;
-    }
-    cur.push(b);
-    match &f.blocks[b.0 as usize].term {
-        Terminator::Ret(_) => out.push(cur),
-        Terminator::Br(t) => enumerate_paths(f, *t, cur, out, cap, exhausted),
-        Terminator::CondBr {
-            then_bb, else_bb, ..
-        } => {
-            enumerate_paths(f, *then_bb, cur, out, cap, exhausted);
-            enumerate_paths(f, *else_bb, cur, out, cap, exhausted);
-        }
-    }
-    cur.pop();
-}
-
-/// A per-path candidate: an instruction that *may* leak, pending the
-/// witness check. For PHT the transiently reached access; for STL the
-/// `(bypassing load, later access)` pair.
-#[derive(Debug, Clone, Copy)]
-enum Candidate {
-    Pht(InstId),
-    Stl(InstId, InstId),
-}
-
-fn merge_candidates(
-    engine: HauntedEngine,
-    out: &[Candidate],
-    pht: &mut HashSet<InstId>,
-    stl: &mut HashSet<(InstId, InstId)>,
-) {
-    match engine {
-        HauntedEngine::Pht => pht.extend(out.iter().map(|c| match c {
-            Candidate::Pht(i) => *i,
-            Candidate::Stl(..) => unreachable!("STL candidate from PHT path"),
-        })),
-        HauntedEngine::Stl => stl.extend(out.iter().map(|c| match c {
-            Candidate::Stl(l, t) => (*l, *t),
-            Candidate::Pht(_) => unreachable!("PHT candidate from STL path"),
-        })),
-    }
-}
-
-/// Reusable per-worker scratch for the PHT path walk: an epoch-stamped
-/// seen-array so each distinct instruction is emitted as a candidate at
-/// most once per path. The transient windows of neighbouring branch
-/// sites overlap heavily, so without the dedup the hot loop pushes (and
-/// the merge re-hashes) the same few hundred instructions millions of
-/// times per exhausted function.
-#[derive(Debug, Default)]
-struct PhtScratch {
-    epoch: u32,
-    seen: Vec<u32>,
-}
-
-/// PHT relational execution over one path: at each conditional branch,
-/// fork transient sub-paths down the other side and record every
-/// transient memory access as a candidate (first visit only; the
-/// candidate set is a set). Returns the path's work cost (instruction
-/// visits). Pure in `(f, path, config)` — the taint check is deferred
-/// to the witness phase.
-fn pht_path_candidates(
-    f: &Function,
-    path: &[BlockId],
-    config: HauntedConfig,
-    scratch: &mut PhtScratch,
-    out: &mut Vec<Candidate>,
-) -> u64 {
-    scratch.seen.resize(f.insts.len(), 0);
-    scratch.epoch = scratch.epoch.wrapping_add(1);
-    if scratch.epoch == 0 {
-        // Wrapped: stale stamps could collide with the new epoch.
-        scratch.seen.fill(0);
-        scratch.epoch = 1;
-    }
-    let epoch = scratch.epoch;
-    let mut cost = 0u64;
-    for (i, &b) in path.iter().enumerate() {
-        let Terminator::CondBr {
-            then_bb, else_bb, ..
-        } = &f.blocks[b.0 as usize].term
-        else {
-            continue;
-        };
-        let arch_next = path.get(i + 1).copied();
-        let wrong = if arch_next == Some(*then_bb) {
-            *else_bb
-        } else {
-            *then_bb
-        };
-        // Explore every transient sub-path from the wrong successor.
-        let mut stack: Vec<(BlockId, usize)> = vec![(wrong, 0)];
-        let mut fork_guard = 0usize;
+    /// Explores every transient sub-path from `start`, at most `rob`
+    /// memory operations deep, stopping at fences and after
+    /// [`FORK_GUARD`] forks; marks each access reached and returns the
+    /// instructions visited.
+    fn walk(&mut self, f: &Function, start: BlockId) -> u64 {
+        let mut cost = 0;
+        let mut stack: Vec<(BlockId, usize)> = vec![(start, 0)];
+        let mut forks = 0;
         while let Some((blk, depth)) = stack.pop() {
-            fork_guard += 1;
-            if fork_guard > 4096 {
+            forks += 1;
+            if forks > FORK_GUARD {
                 break;
             }
             let mut d = depth;
             let mut stop = false;
             for &iid in &f.blocks[blk.0 as usize].insts {
                 cost += 1;
-                if d >= config.rob {
+                if d >= self.rob {
                     stop = true;
                     break;
                 }
@@ -525,187 +399,232 @@ fn pht_path_candidates(
                     }
                     Inst::Load { .. } | Inst::Store { .. } => {
                         d += 1;
-                        let s = &mut scratch.seen[iid.0 as usize];
-                        if *s != epoch {
-                            *s = epoch;
-                            out.push(Candidate::Pht(iid));
-                        }
+                        self.reached[iid.0 as usize] = true;
                     }
-                    Inst::Havoc { .. } => {
-                        d += 1;
-                    }
+                    Inst::Havoc { .. } => d += 1,
                     _ => {}
                 }
             }
-            if !stop && d < config.rob {
+            if !stop && d < self.rob {
                 for s in f.blocks[blk.0 as usize].term.successors() {
                     stack.push((s, d));
                 }
             }
         }
+        cost
     }
-    cost
 }
 
-/// Reusable per-worker scratch for the STL path walk: the path's memory
-/// instructions and a fence prefix-count alongside (so "is there a
-/// fence between positions i and j" is two array reads, not a scan).
-#[derive(Debug, Default)]
-struct StlScratch {
-    insts: Vec<InstId>,
-    fences: Vec<u32>,
-}
+impl Relational for Pht {
+    type Mark = u64;
 
-impl StlScratch {
-    fn fill(&mut self, f: &Function, path: &[BlockId]) {
-        self.insts.clear();
-        self.fences.clear();
-        self.fences.push(0);
-        let mut fences = 0u32;
-        for &b in path {
-            for &i in &f.blocks[b.0 as usize].insts {
-                if matches!(
-                    f.inst(i),
-                    Inst::Load { .. } | Inst::Store { .. } | Inst::Havoc { .. } | Inst::Fence
-                ) {
-                    if matches!(f.inst(i), Inst::Fence) {
-                        fences += 1;
-                    }
-                    self.insts.push(i);
-                    self.fences.push(fences);
-                }
+    fn enter(&mut self, f: &Function, _: BlockId, wrong: Option<BlockId>) -> u64 {
+        let Some(w) = wrong else { return 0 };
+        let cost = match self.walk_cost[w.0 as usize] {
+            Some(c) => c,
+            None => {
+                let c = self.walk(f, w);
+                self.walk_cost[w.0 as usize] = Some(c);
+                c
             }
+        };
+        self.cost += cost;
+        cost
+    }
+
+    fn leave(&mut self, cost: u64) {
+        self.cost -= cost;
+    }
+
+    fn path_cost(&self) -> u64 {
+        self.cost
+    }
+
+    /// A reached access leaks iff its address is attacker controlled —
+    /// computed once per distinct address.
+    fn leaks(self, f: &Function, fname: &str) -> Vec<HauntedLeak> {
+        let mut taint: HashMap<Value, bool> = HashMap::new();
+        let leaking = marked(&self.reached).filter(|&iid| match f.inst(iid) {
+            Inst::Load { addr, .. } | Inst::Store { addr, .. } => *taint
+                .entry(*addr)
+                .or_insert_with(|| attacker_controlled(f, *addr)),
+            _ => false,
+        });
+        finish_leaks(fname, leaking, SpeculationPrimitive::ConditionalBranch)
+    }
+}
+
+/// A memory operation on the current path.
+struct MemOp {
+    /// The store's address, for stores.
+    store: Option<SymAddr>,
+    /// Fences before it on the path.
+    fences: u32,
+    /// The load's instruction, for loads that bypass a store on the path.
+    bypassing: Option<InstId>,
+}
+
+/// STL: each load may bypass each older store within the `lsq` window
+/// that may alias it with no fence in between, and the stale value may
+/// reach every later access on the path. Re-executing a path visits each
+/// of its N memory operations, scans P window slots, and walks the rest
+/// of the path once for each of its K bypassing stores, whose loads sit
+/// at positions summing to A − K: N + P + K·N − A steps. Only N depends
+/// on more than the prefix, so the walk keeps P, K and A per prefix.
+struct Stl<'f> {
+    lsq: usize,
+    oracle: AddrOracle<'f>,
+    /// The current path's memory operations, in order.
+    ops: Vec<MemOp>,
+    fences: u32,
+    /// P, K and A of the current path.
+    scanned: u64,
+    bypasses: u64,
+    bypass_ends: u64,
+    /// Per instruction: how often it is a bypassing load on the path.
+    bypassing: Vec<u32>,
+    /// Per address: the loads that feed it.
+    feeds: HashMap<Value, Vec<InstId>>,
+    /// Per instruction: whether an explored path has a bypassing load
+    /// before it that feeds its address — a leak.
+    leaking: Vec<bool>,
+}
+
+impl<'f> Stl<'f> {
+    fn new(f: &'f Function, lsq: usize) -> Stl<'f> {
+        Stl {
+            lsq,
+            oracle: AddrOracle::new(f),
+            ops: Vec::new(),
+            fences: 0,
+            scanned: 0,
+            bypasses: 0,
+            bypass_ends: 0,
+            bypassing: vec![0; f.insts.len()],
+            feeds: HashMap::new(),
+            leaking: vec![false; f.insts.len()],
         }
     }
+
+    /// Marks access `t` leaking if a bypassing load earlier on the path
+    /// feeds its address.
+    fn target(&mut self, f: &Function, t: InstId, addr: Value) {
+        if self.leaking[t.0 as usize] {
+            return;
+        }
+        let feeds = self.feeds.entry(addr).or_insert_with(|| {
+            lcm_aeg::addr::feeding_loads(f, addr)
+                .into_iter()
+                .map(|(l, _)| l)
+                .collect()
+        });
+        self.leaking[t.0 as usize] = feeds.iter().any(|l| self.bypassing[l.0 as usize] > 0);
+    }
+
+    /// Whether a load at the end of the path bypasses a store in its
+    /// window; charges the window's slots and each bypassing store.
+    fn bypasses_a_store(&mut self, addr: SymAddr) -> bool {
+        let li = self.ops.len();
+        let lo = li.saturating_sub(self.lsq);
+        self.scanned += (li - lo) as u64;
+        let mut bypassing = false;
+        for op in &self.ops[lo..] {
+            let Some(sa) = op.store else { continue };
+            if lcm_aeg::addr::alias(addr, sa) == AliasResult::No || op.fences < self.fences {
+                continue;
+            }
+            self.bypasses += 1;
+            self.bypass_ends += li as u64 + 1;
+            bypassing = true;
+        }
+        bypassing
+    }
 }
 
-/// STL relational execution over one path: each load may bypass each
-/// older aliasing store within the store-queue window; record the
-/// `(load, later access)` pairs the stale value could reach. Returns
-/// the path's work cost. The feeding-load confirmation is deferred to
-/// the witness phase, where each distinct pair is checked once.
-fn stl_path_candidates(
-    f: &Function,
-    path: &[BlockId],
-    config: HauntedConfig,
-    oracle: &mut AddrOracle<'_>,
-    scratch: &mut StlScratch,
-    out: &mut Vec<Candidate>,
-) -> u64 {
-    scratch.fill(f, path);
-    let insts = &scratch.insts;
-    let fences = &scratch.fences;
-    let mut cost = 0u64;
-    for (li, &l) in insts.iter().enumerate() {
-        cost += 1;
-        let Inst::Load { addr: laddr, .. } = f.inst(l) else {
-            continue;
-        };
-        let la = oracle.addr(*laddr);
-        // Enumerate older stores within the LSQ window (the per-path
-        // product that dominates bh-stl's runtime).
-        let mut bypassed = false;
-        for si in li.saturating_sub(config.lsq)..li {
-            cost += 1;
-            let Inst::Store { addr: saddr, .. } = f.inst(insts[si]) else {
-                continue;
+impl Relational for Stl<'_> {
+    type Mark = (usize, u32, u64, u64, u64);
+
+    fn enter(&mut self, f: &Function, b: BlockId, _: Option<BlockId>) -> Self::Mark {
+        let mark = (
+            self.ops.len(),
+            self.fences,
+            self.scanned,
+            self.bypasses,
+            self.bypass_ends,
+        );
+        for &i in &f.blocks[b.0 as usize].insts {
+            let mut op = MemOp {
+                store: None,
+                fences: self.fences,
+                bypassing: None,
             };
-            let sa = oracle.addr(*saddr);
-            if lcm_aeg::addr::alias(la, sa) == lcm_aeg::addr::AliasResult::No {
-                continue;
-            }
-            // Fence between store and load on this path kills the bypass.
-            if fences[li] > fences[si] {
-                continue;
-            }
-            // Charge the stale-value scan per bypassing store, as the
-            // serial checker always did, but emit each (load, target)
-            // pair once — the candidate set is store-independent.
-            cost += insts.len().saturating_sub(li + 1) as u64;
-            if !bypassed {
-                bypassed = true;
-                for &t in &insts[li + 1..] {
-                    if matches!(f.inst(t), Inst::Load { .. } | Inst::Store { .. }) {
-                        out.push(Candidate::Stl(l, t));
+            match f.inst(i) {
+                Inst::Load { addr, .. } => {
+                    self.target(f, i, *addr);
+                    let a = self.oracle.addr(*addr);
+                    if self.bypasses_a_store(a) {
+                        self.bypassing[i.0 as usize] += 1;
+                        op.bypassing = Some(i);
                     }
                 }
+                Inst::Store { addr, .. } => {
+                    self.target(f, i, *addr);
+                    op.store = Some(self.oracle.addr(*addr));
+                }
+                Inst::Havoc { .. } => {}
+                Inst::Fence => self.fences += 1,
+                _ => continue,
+            }
+            self.ops.push(op);
+        }
+        mark
+    }
+
+    fn leave(&mut self, (len, fences, scanned, bypasses, bypass_ends): Self::Mark) {
+        for op in self.ops.drain(len..) {
+            if let Some(l) = op.bypassing {
+                self.bypassing[l.0 as usize] -= 1;
             }
         }
+        self.fences = fences;
+        self.scanned = scanned;
+        self.bypasses = bypasses;
+        self.bypass_ends = bypass_ends;
     }
-    cost
+
+    fn path_cost(&self) -> u64 {
+        let n = self.ops.len() as u64;
+        n + self.scanned + self.bypasses * n - self.bypass_ends
+    }
+
+    fn leaks(self, _: &Function, fname: &str) -> Vec<HauntedLeak> {
+        finish_leaks(
+            fname,
+            marked(&self.leaking),
+            SpeculationPrimitive::StoreForwarding,
+        )
+    }
 }
 
-/// PHT witness check: a candidate leaks iff its address is attacker
-/// controlled — a pure function of the address value, computed once per
-/// distinct address across every path's candidates.
-fn pht_witness(f: &Function, fname: &str, cands: &HashSet<InstId>) -> Vec<HauntedLeak> {
-    let mut taint: HashMap<u32, bool> = HashMap::new();
-    let mut leaking: Vec<InstId> = Vec::new();
-    for &iid in cands {
-        let addr = match f.inst(iid) {
-            Inst::Load { addr, .. } | Inst::Store { addr, .. } => *addr,
-            _ => continue,
-        };
-        let tainted = *taint
-            .entry(addr.0)
-            .or_insert_with(|| attacker_controlled(f, addr));
-        if tainted {
-            leaking.push(iid);
-        }
-    }
-    finish_leaks(fname, leaking, SpeculationPrimitive::ConditionalBranch)
+/// The instructions whose flag is set, in instruction order.
+fn marked(flags: &[bool]) -> impl Iterator<Item = InstId> + '_ {
+    (0..flags.len() as u32)
+        .map(InstId)
+        .filter(|iid| flags[iid.0 as usize])
 }
 
-/// STL witness check: a `(load, target)` candidate leaks at the target
-/// iff the load's stale value feeds the target's address — the
-/// feeding-load set is computed once per distinct address.
-fn stl_witness(f: &Function, fname: &str, cands: &HashSet<(InstId, InstId)>) -> Vec<HauntedLeak> {
-    let mut feeds: HashMap<u32, Vec<(InstId, bool)>> = HashMap::new();
-    let mut leaking: Vec<InstId> = Vec::new();
-    for &(l, t) in cands {
-        let taddr = match f.inst(t) {
-            Inst::Load { addr, .. } | Inst::Store { addr, .. } => *addr,
-            _ => continue,
-        };
-        let hit = feeds
-            .entry(taddr.0)
-            .or_insert_with(|| lcm_aeg::addr::feeding_loads(f, taddr))
-            .iter()
-            .any(|&(ld, _)| ld == l);
-        if hit {
-            leaking.push(t);
-        }
-    }
-    finish_leaks(fname, leaking, SpeculationPrimitive::StoreForwarding)
-}
-
-/// Sorted, deduplicated leak list; the function name is allocated once
-/// per confirmed leak instead of once per raw candidate.
 fn finish_leaks(
     fname: &str,
-    mut leaking: Vec<InstId>,
+    leaking: impl Iterator<Item = InstId>,
     primitive: SpeculationPrimitive,
 ) -> Vec<HauntedLeak> {
-    leaking.sort_unstable();
-    leaking.dedup();
     leaking
-        .into_iter()
         .map(|inst| HauntedLeak {
             function: fname.to_string(),
             inst,
             primitive,
         })
         .collect()
-}
-
-fn work_units() -> &'static lcm_obs::metrics::Counter {
-    static C: std::sync::OnceLock<lcm_obs::metrics::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| {
-        lcm_obs::metrics::global().counter(
-            lcm_obs::metrics::names::WORK_UNITS,
-            "Intra-function work units scheduled on the parallel pool",
-        )
-    })
 }
 
 #[cfg(test)]

@@ -554,13 +554,13 @@ impl<'t> Parser<'t> {
     }
 
     /// `x op= y` and `x++` copy `x` into their desugaring, so `x` must
-    /// not assign: the assignment would run twice, and nested copies
-    /// would grow the tree exponentially.
+    /// have no side effect: an assignment or call inside it would run
+    /// twice, and nested copies would grow the tree exponentially.
     fn copyable(&self, e: &Expr) -> Result<(), ParseError> {
-        if assigns(e) {
-            return self.err("assignment inside the operand of `++`, `--` or `op=`");
+        match side_effect(e) {
+            Some(what) => self.err(format!("{what} inside the operand of `++`, `--` or `op=`")),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn parse_assign(&mut self) -> Result<Parsed, ParseError> {
@@ -742,14 +742,17 @@ impl<'t> Parser<'t> {
 }
 
 /// Whether `e` contains an assignment.
-fn assigns(e: &Expr) -> bool {
+/// The first side effect in `e`, if any: an assignment or a call.
+fn side_effect(e: &Expr) -> Option<&'static str> {
     match e {
-        Expr::Assign(..) => true,
-        Expr::Int(_) | Expr::Ident(_) | Expr::SizeOf(_) => false,
-        Expr::Un(_, a) => assigns(a),
-        Expr::Bin(_, a, b) | Expr::Index(a, b) => assigns(a) || assigns(b),
-        Expr::Ternary(a, b, c) => assigns(a) || assigns(b) || assigns(c),
-        Expr::Call(_, args) => args.iter().any(assigns),
+        Expr::Assign(..) => Some("assignment"),
+        Expr::Call(..) => Some("call"),
+        Expr::Int(_) | Expr::Ident(_) | Expr::SizeOf(_) => None,
+        Expr::Un(_, a) => side_effect(a),
+        Expr::Bin(_, a, b) | Expr::Index(a, b) => side_effect(a).or_else(|| side_effect(b)),
+        Expr::Ternary(a, b, c) => side_effect(a)
+            .or_else(|| side_effect(b))
+            .or_else(|| side_effect(c)),
     }
 }
 
@@ -865,6 +868,21 @@ mod tests {
     fn lfence_statement() {
         let p = parse_src("void f() { lfence(); }");
         assert_eq!(p.functions[0].body[0], Stmt::Fence);
+    }
+
+    #[test]
+    fn call_inside_a_copied_operand_is_refused() {
+        // `A[f()] += 1` desugars to `A[f()] = A[f()] + 1`, which would
+        // call `f` twice.
+        let src = "int c; int A[4];\nint f() { c = c + 1; return 0; }\nint g() { A[f()] += 1; return c; }";
+        let e = parse(&lex(src).unwrap()).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("call inside the operand"), "{e:?}");
+        for body in ["A[f()]++;", "A[f()]--;", "A[1 + f()] <<= 2;"] {
+            let src = format!("int A[4]; int f() {{ return 0; }} void g() {{ {body} }}");
+            assert!(parse(&lex(&src).unwrap()).is_err(), "{body}");
+        }
+        parse_src("int A[4]; int f() { return 0; } void g() { A[f()] = A[f()] + 1; }");
     }
 
     #[test]

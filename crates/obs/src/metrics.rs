@@ -37,10 +37,6 @@ pub mod names {
     pub const GOVERNOR_TRIPS: &str = "lcm_governor_trips_total";
     /// Worker panics caught and degraded by the parallel driver.
     pub const WORKER_PANICS: &str = "lcm_worker_panics_total";
-    /// Intra-function work units scheduled on the parallel pool (the
-    /// haunted baseline's path splits; the Clou engines never split a
-    /// function).
-    pub const WORK_UNITS: &str = "lcm_work_units_total";
     /// Daemon connections accepted.
     pub const SERVE_REQUESTS: &str = "lcm_serve_requests_total";
     /// Daemon analyze requests completed, by engine.

@@ -187,7 +187,6 @@ pub fn analyze_module_bh_cached(
                     paths_explored: 0,
                     exhausted: false,
                     runtime: std::time::Duration::ZERO,
-                    t_enumerate: std::time::Duration::ZERO,
                     t_execute: std::time::Duration::ZERO,
                     t_witness: std::time::Duration::ZERO,
                     degraded: Some(format!("worker panic: {message}")),

@@ -324,7 +324,6 @@ pub fn decode_bh(payload: &[u8]) -> Result<HauntedReport, Corrupt> {
         paths_explored,
         exhausted,
         runtime: Duration::ZERO,
-        t_enumerate: Duration::ZERO,
         t_execute: Duration::ZERO,
         t_witness: Duration::ZERO,
         degraded: None,
@@ -386,7 +385,6 @@ mod tests {
             paths_explored: 12,
             exhausted: true,
             runtime: Duration::ZERO,
-            t_enumerate: Duration::ZERO,
             t_execute: Duration::ZERO,
             t_witness: Duration::ZERO,
             degraded: None,
@@ -423,7 +421,6 @@ mod tests {
             paths_explored: 0,
             exhausted: false,
             runtime: Duration::ZERO,
-            t_enumerate: Duration::ZERO,
             t_execute: Duration::ZERO,
             t_witness: Duration::ZERO,
             degraded: None,

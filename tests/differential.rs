@@ -1,10 +1,9 @@
 //! Tier-1: the job count is an observational no-op.
 //!
-//! The Clou engines fan functions out over worker threads, one thread
-//! per function, and reassemble the reports in module order; the
-//! haunted baseline also splits a function's enumerated paths over
-//! workers and merges them in path order. So `--jobs 2/4/8` must render
-//! byte-identical to serial for every engine.
+//! The Clou engines and the haunted baseline fan functions out over
+//! worker threads, one thread per function, and reassemble the reports
+//! in module order. So `--jobs 2/4/8` must render byte-identical to
+//! serial for every engine.
 //!
 //! This file runs inside the `LCM_FAULT` CI matrix. Faults key off the
 //! function index, and a function's query sequence, and so its trip
@@ -117,13 +116,11 @@ fn findings_are_identical_across_job_counts_for_every_engine() {
     }
 }
 
-/// The haunted baseline's path-splitting must be exact too: full leak
-/// lists, path counts, and exhaustion flags at jobs 2/4/8 equal serial.
-/// The tight-budget variant pins the path-granular budget semantics:
-/// the cutoff is applied during the in-order merge, so exhaustion is
-/// reproduced identically no matter how many workers enumerated past
-/// it. (The baseline is ungoverned — no fault sites — so this holds
-/// inside the fault matrix as well.)
+/// The haunted baseline's function-level fan-out must be exact too:
+/// full leak lists, path counts, and exhaustion flags at jobs 2/4/8
+/// equal serial, with the default budget and with a tight one that
+/// cuts every function's path walk short. (The baseline is ungoverned —
+/// no fault sites — so this holds inside the fault matrix as well.)
 #[test]
 fn baseline_reports_are_identical_across_job_counts() {
     let m = compile();
