@@ -101,8 +101,8 @@ pub struct PhaseTimings {
     /// Baseline sub-phase: relational execution — the walk over
     /// architectural paths with its transient forks or bypass scans.
     pub bh_execute: Duration,
-    /// Baseline sub-phase: witness checking — confirming deduplicated
-    /// candidates via taint/feeding-load queries.
+    /// Baseline sub-phase: witness checking — confirming the PHT
+    /// candidates with the taint walk (STL confirms during the walk).
     pub bh_witness: Duration,
     /// Time spent in the incremental result cache: fingerprinting,
     /// lookup, and (on a miss) record insertion. On a warm run this is

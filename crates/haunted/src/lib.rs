@@ -19,8 +19,7 @@
 //!
 //! PHT mode explores every transient sub-path in every window; STL mode
 //! additionally enumerates load × older-store bypass pairs per path —
-//! the product that makes `bh-stl` an order of magnitude costlier than
-//! `bh-pht` on the same inputs (Table 2).
+//! the product that made `bh-stl` the paper's worst scaler (Table 2).
 //!
 //! That cost is **charged, not paid**. Each path is charged what
 //! re-executing it would take ([`HauntedConfig::step_budget`] counts

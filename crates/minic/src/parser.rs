@@ -741,7 +741,6 @@ impl<'t> Parser<'t> {
     }
 }
 
-/// Whether `e` contains an assignment.
 /// The first side effect in `e`, if any: an assignment or a call.
 fn side_effect(e: &Expr) -> Option<&'static str> {
     match e {
