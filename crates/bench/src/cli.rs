@@ -35,8 +35,9 @@ pub struct BenchArgs {
     /// (crash isolation; 0 or omitted = in-process).
     pub fleet: usize,
     /// `--findings-out PATH`: write a timing-free findings digest
-    /// (workload/tool/counts/degradations, no durations) for byte-level
-    /// comparison across runs.
+    /// (workload/tool/counts, a hash of every Clou finding's encoded
+    /// bytes, degradations; no durations) for byte-level comparison
+    /// across runs.
     pub findings_out: Option<String>,
     /// `--metrics-out PATH`: dump the final metrics registry — fleet
     /// totals included when `--fleet` ran — as JSON at exit.
