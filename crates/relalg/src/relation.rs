@@ -160,6 +160,30 @@ impl Relation {
         }
     }
 
+    /// Adds every successor of `src` to the successors of `dst` (row
+    /// `dst |= row src`): the step of a closure built in reverse
+    /// topological order.
+    pub fn union_row_into(&mut self, src: usize, dst: usize) {
+        assert!(
+            src < self.n && dst < self.n,
+            "row outside universe {}",
+            self.n
+        );
+        if src == dst {
+            return;
+        }
+        let w = self.words_per_row;
+        let (lo, hi) = self.bits.split_at_mut(src.max(dst) * w);
+        let (from, to) = if src < dst {
+            (&lo[src * w..(src + 1) * w], &mut hi[..w])
+        } else {
+            (&hi[..w], &mut lo[dst * w..(dst + 1) * w])
+        };
+        for (t, f) in to.iter_mut().zip(from) {
+            *t |= f;
+        }
+    }
+
     /// Set intersection of two relations.
     #[must_use]
     pub fn intersect(&self, other: &Relation) -> Relation {
@@ -436,6 +460,18 @@ mod tests {
         r.remove(0, 69);
         assert!(!r.contains(0, 69));
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn union_row_into_ors_one_row_into_another() {
+        // Rows straddle a word boundary, in both directions.
+        let mut r = rel(130, &[(0, 1), (0, 129), (100, 64), (100, 2)]);
+        r.union_row_into(100, 0);
+        assert_eq!(r.successors(0).collect::<Vec<_>>(), vec![1, 2, 64, 129]);
+        r.union_row_into(0, 129);
+        assert_eq!(r.successors(129).collect::<Vec<_>>(), vec![1, 2, 64, 129]);
+        r.union_row_into(5, 5);
+        assert_eq!(r.len(), 10);
     }
 
     #[test]
