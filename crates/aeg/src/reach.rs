@@ -21,7 +21,6 @@
 //! query. Counters are tracked in [`FeasStats`].
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use lcm_core::fault::site;
 use lcm_core::govern::{AnalysisError, BudgetKind, ResourceGovernor};
@@ -30,8 +29,7 @@ use lcm_relalg::Relation;
 
 use crate::build::Saeg;
 
-/// Query counters and the closure-build time for one [`Feasibility`]
-/// instance.
+/// Query counters of one [`Feasibility`] instance.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FeasStats {
     /// Feasibility questions answered from block reachability: every
@@ -43,8 +41,6 @@ pub struct FeasStats {
     /// pre-screen (window bitsets, duplicate-block fast paths) proved the
     /// stack unchanged.
     pub prefilter_hits: u64,
-    /// Time spent building the reachability closure.
-    pub encode: Duration,
 }
 
 /// The architectural skeleton of a witness, recoverable from an
@@ -64,9 +60,10 @@ pub struct WitnessSeed {
 /// A reusable feasibility checker over one S-AEG. One instance serves
 /// one function's engine run, on one thread.
 #[derive(Debug)]
-pub struct Feasibility {
-    /// Reflexive-transitive reachability over A-CFG blocks.
-    reach: Relation,
+pub struct Feasibility<'a> {
+    /// Reflexive-transitive reachability over A-CFG blocks, borrowed
+    /// from the S-AEG.
+    reach: &'a Relation,
     /// `(then, else)` targets of each block ending in a conditional
     /// branch.
     targets: Vec<Option<(u32, u32)>>,
@@ -81,37 +78,28 @@ pub struct Feasibility {
     governor: Option<Arc<ResourceGovernor>>,
 }
 
-impl Feasibility {
-    /// Builds the block-reachability closure of the S-AEG's A-CFG.
-    pub fn new(saeg: &Saeg) -> Self {
-        let t0 = Instant::now();
-        let f = &saeg.acfg;
-        let mut edges = Relation::empty(f.blocks.len());
-        let mut targets = vec![None; f.blocks.len()];
-        for (bi, b) in f.iter_blocks() {
-            let from = bi.0 as usize;
-            match &b.term {
-                Terminator::Br(t) => edges.insert(from, t.0 as usize),
+impl<'a> Feasibility<'a> {
+    /// A checker over the S-AEG's block-reachability closure. A block
+    /// the entry cannot reach relates to nothing there, and a stack that
+    /// requires one is infeasible either way.
+    pub fn new(saeg: &'a Saeg) -> Self {
+        let targets = saeg
+            .acfg
+            .blocks
+            .iter()
+            .map(|b| match &b.term {
                 Terminator::CondBr {
                     then_bb, else_bb, ..
-                } => {
-                    edges.insert(from, then_bb.0 as usize);
-                    edges.insert(from, else_bb.0 as usize);
-                    targets[from] = Some((then_bb.0, else_bb.0));
-                }
-                Terminator::Ret(_) => {}
-            }
-        }
-        let reach = edges.reflexive_transitive_closure();
+                } => Some((then_bb.0, else_bb.0)),
+                Terminator::Br(_) | Terminator::Ret(_) => None,
+            })
+            .collect();
         Feasibility {
-            reach,
+            reach: saeg.block_closure(),
             targets,
             stack: Vec::new(),
             decision: None,
-            stats: FeasStats {
-                encode: t0.elapsed(),
-                ..FeasStats::default()
-            },
+            stats: FeasStats::default(),
             governor: None,
         }
     }
@@ -151,7 +139,7 @@ impl Feasibility {
         g.poll()
     }
 
-    /// Query counters and timings accumulated so far.
+    /// Query counters accumulated so far.
     pub fn stats(&self) -> FeasStats {
         self.stats
     }
@@ -233,7 +221,7 @@ impl Feasibility {
     /// a decision additionally forces every required block after the
     /// branch to be reachable *through the chosen target*.
     fn screen(&self) -> bool {
-        let (reach, blocks) = (&self.reach, &self.stack);
+        let (reach, blocks) = (self.reach, &self.stack);
         if !blocks.iter().all(|&b| reach.contains(0, b as usize)) {
             return false;
         }
@@ -276,11 +264,9 @@ mod tests {
     use crate::build::{EventKind, Saeg};
     use lcm_core::speculation::SpeculationConfig;
 
-    fn feas(src: &str, f: &str) -> (Saeg, Feasibility) {
+    fn saeg(src: &str, f: &str) -> Saeg {
         let m = lcm_minic::compile(src).unwrap();
-        let s = Saeg::build(&m, f, SpeculationConfig::default()).unwrap();
-        let fe = Feasibility::new(&s);
-        (s, fe)
+        Saeg::build(&m, f, SpeculationConfig::default()).unwrap()
     }
 
     /// Checks `blocks` on an otherwise empty stack.
@@ -304,16 +290,18 @@ mod tests {
 
     #[test]
     fn straight_line_all_blocks_executed() {
-        let (s, mut fe) = feas("int G; void f() { G = 1; G = 2; }", "f");
+        let s = saeg("int G; void f() { G = 1; G = 2; }", "f");
+        let mut fe = Feasibility::new(&s);
         assert!(check(&mut fe, s.topo_blocks()));
     }
 
     #[test]
     fn diamond_sides_mutually_exclusive() {
-        let (s, mut fe) = feas(
+        let s = saeg(
             "int G; void f(int c) { if (c) { G = 1; } else { G = 2; } }",
             "f",
         );
+        let mut fe = Feasibility::new(&s);
         let stores = store_blocks(&s);
         assert_eq!(stores.len(), 2);
         assert!(check(&mut fe, &stores[..1]));
@@ -326,10 +314,11 @@ mod tests {
 
     #[test]
     fn nested_if_requires_outer() {
-        let (s, mut fe) = feas(
+        let s = saeg(
             "int G; void f(int a, int b) { if (a) { if (b) { G = 1; } } else { G = 2; } }",
             "f",
         );
+        let mut fe = Feasibility::new(&s);
         // The inner store together with the else-side store: infeasible.
         let stores = store_blocks(&s);
         let (inner, else_side) = (stores[0], *stores.last().unwrap());
@@ -340,10 +329,11 @@ mod tests {
 
     #[test]
     fn decision_forces_direction() {
-        let (s, mut fe) = feas(
+        let s = saeg(
             "int G; void f(int c) { if (c) { G = 1; } else { G = 2; } }",
             "f",
         );
+        let mut fe = Feasibility::new(&s);
         let br = &s.branches[0];
         for (then, target, expect) in [
             (true, br.else_bb, false),
@@ -361,7 +351,8 @@ mod tests {
 
     #[test]
     fn every_check_counts_as_avoided() {
-        let (s, mut fe) = feas("int G; void f(int c) { if (c) { G = 1; } }", "f");
+        let s = saeg("int G; void f(int c) { if (c) { G = 1; } }", "f");
+        let mut fe = Feasibility::new(&s);
         let entry = s.topo_blocks()[0];
         assert!(check(&mut fe, &[entry]));
         assert!(check(&mut fe, &[entry]));
@@ -370,10 +361,11 @@ mod tests {
 
     #[test]
     fn stack_seed_recovers_blocks_and_direction() {
-        let (s, mut fe) = feas(
+        let s = saeg(
             "int G; void f(int c) { if (c) { G = 1; } else { G = 2; } }",
             "f",
         );
+        let mut fe = Feasibility::new(&s);
         let br = &s.branches[0];
         fe.push_block(br.block);
         fe.push_block(br.block); // duplicates collapse
@@ -386,10 +378,11 @@ mod tests {
 
     #[test]
     fn truncate_restores_outer_assumptions() {
-        let (s, mut fe) = feas(
+        let s = saeg(
             "int G; void f(int c) { if (c) { G = 1; } else { G = 2; } }",
             "f",
         );
+        let mut fe = Feasibility::new(&s);
         let br = &s.branches[0];
         fe.push_block(br.block);
         fe.push_decision(br.block, true);

@@ -85,13 +85,12 @@ impl Finding {
 pub struct PhaseTimings {
     /// A-CFG construction (IR → acyclic CFG).
     pub acfg_build: Duration,
-    /// S-AEG construction over the A-CFG.
+    /// S-AEG construction over the A-CFG, including the
+    /// block-reachability closure that decides path feasibility (the
+    /// paper encodes Fig. 7's edge formulas for its solver instead).
     pub saeg_build: Duration,
-    /// Building the block-reachability closure that decides path
-    /// feasibility (the paper encodes Fig. 7's edge formulas here).
-    pub encode: Duration,
-    /// Engine chain enumeration, feasibility checks and classification
-    /// (everything in the engines after `encode`).
+    /// The engine run: dependency relations, chain enumeration,
+    /// feasibility checks and classification.
     pub classify: Duration,
     /// Baseline-tool (haunted re-execution checker) time *not*
     /// attributed to one of the two `bh_*` sub-phases below: A-CFG
@@ -128,7 +127,6 @@ impl PhaseTimings {
     pub fn merge(&mut self, other: &PhaseTimings) {
         self.acfg_build += other.acfg_build;
         self.saeg_build += other.saeg_build;
-        self.encode += other.encode;
         self.classify += other.classify;
         self.baseline += other.baseline;
         self.bh_execute += other.bh_execute;
@@ -144,7 +142,6 @@ impl PhaseTimings {
     pub fn tracked(&self) -> Duration {
         self.acfg_build
             + self.saeg_build
-            + self.encode
             + self.classify
             + self.baseline
             + self.bh_execute
@@ -162,10 +159,9 @@ impl PhaseTimings {
     pub fn render(&self) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         format!(
-            "acfg {:.1}ms | saeg {:.1}ms | encode {:.1}ms | classify {:.1}ms | baseline {:.1}ms (exec {:.1}ms, witness {:.1}ms) | cache {:.1}ms | other {:.1}ms | {} avoided, {} prefilter hits, {} cache hits",
+            "acfg {:.1}ms | saeg {:.1}ms | classify {:.1}ms | baseline {:.1}ms (exec {:.1}ms, witness {:.1}ms) | cache {:.1}ms | other {:.1}ms | {} avoided, {} prefilter hits, {} cache hits",
             ms(self.acfg_build),
             ms(self.saeg_build),
-            ms(self.encode),
             ms(self.classify),
             ms(self.baseline),
             ms(self.bh_execute),
@@ -417,7 +413,6 @@ mod tests {
         PhaseTimings {
             acfg_build: d(1),
             saeg_build: d(2),
-            encode: d(3),
             classify: d(5),
             baseline: d(6),
             bh_execute: d(15),
@@ -439,7 +434,6 @@ mod tests {
         let PhaseTimings {
             acfg_build,
             saeg_build,
-            encode,
             classify,
             baseline,
             bh_execute,
@@ -453,7 +447,6 @@ mod tests {
         let ms = |x: u64| Duration::from_millis(x);
         assert_eq!(acfg_build, ms(101 + 201));
         assert_eq!(saeg_build, ms(102 + 202));
-        assert_eq!(encode, ms(103 + 203));
         assert_eq!(classify, ms(105 + 205));
         assert_eq!(baseline, ms(106 + 206));
         assert_eq!(bh_execute, ms(115 + 215));
@@ -470,7 +463,7 @@ mod tests {
         let mut t = distinct(1);
         t.other = Duration::ZERO;
         // tracked() must include every Duration field except `other`.
-        let tracked = Duration::from_millis(101 + 102 + 103 + 105 + 106 + 115 + 116 + 107);
+        let tracked = Duration::from_millis(101 + 102 + 105 + 106 + 115 + 116 + 107);
         assert_eq!(t.tracked(), tracked);
         let wall = tracked + Duration::from_millis(42);
         t.fill_other(wall);

@@ -325,7 +325,6 @@ fn encode_timings(w: &mut W, t: &PhaseTimings) {
     for d in [
         t.acfg_build,
         t.saeg_build,
-        t.encode,
         t.classify,
         t.baseline,
         t.bh_execute,
@@ -345,7 +344,6 @@ fn decode_timings(r: &mut R) -> Result<PhaseTimings, Corrupt> {
     for d in [
         &mut t.acfg_build,
         &mut t.saeg_build,
-        &mut t.encode,
         &mut t.classify,
         &mut t.baseline,
         &mut t.bh_execute,
