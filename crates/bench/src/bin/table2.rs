@@ -59,6 +59,7 @@ fn main() {
         args.budgets(),
         store.as_ref(),
         fleet.as_ref(),
+        args.findings_out.is_some(),
     );
     let wall = t0.elapsed();
     if let Some(fleet) = &fleet {
