@@ -27,15 +27,15 @@ pub mod cli;
 pub mod json;
 pub mod trace;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use lcm_aeg::Saeg;
 use lcm_core::govern::Budgets;
 use lcm_core::taxonomy::TransmitterClass;
 use lcm_corpus::synth::{synthetic_library, SynthConfig};
 use lcm_corpus::{all_litmus, crypto, Bench};
 use lcm_detect::{
-    CacheStatus, Detector, DetectorConfig, EngineKind, FunctionStatus, ModuleReport, PhaseTimings,
+    CacheStatus, Detector, DetectorConfig, EngineKind, FunctionReport, FunctionStatus,
+    ModuleReport, PhaseTimings,
 };
 use lcm_fleet::Fleet;
 use lcm_haunted::{HauntedConfig, HauntedEngine};
@@ -469,7 +469,8 @@ pub struct Fig8Point {
     /// point's times/counts are then a lower bound).
     pub degraded: Option<String>,
     /// `Hit` when *both* engines' results came from the store, `Miss`
-    /// when they ran and were inserted, `Bypass` with no store.
+    /// when both ran and were inserted, `Bypass` otherwise (no store, or
+    /// a degraded result the store refused).
     pub cache: CacheStatus,
 }
 
@@ -485,12 +486,19 @@ fn fig8_degraded(pht: &FunctionStatus, stl: &FunctionStatus) -> Option<String> {
     (!parts.is_empty()).then(|| parts.join("; "))
 }
 
+/// The two engines of every Fig. 8 point, in report order.
+const FIG8_ENGINES: [EngineKind; 2] = [EngineKind::Pht, EngineKind::Stl];
+
 /// Computes the Fig. 8 scatter over the synthetic library.
 ///
 /// Each function's S-AEG is built **once** and both engines run over it
-/// (the engines only differ in the speculation primitive they consider,
-/// so the graph is shared). Functions fan out over `jobs` workers; a
-/// worker that panics or trips a budget degrades only its own point.
+/// ([`Detector::analyze_engines`]; the engines only differ in the
+/// speculation primitive they consider, so the graph is shared).
+/// Functions fan out over `jobs` workers; a worker that panics or trips
+/// a budget degrades only its own point. With a store, a point skips
+/// the build only when the store answers for *both* engines — a half
+/// hit saves nothing, since the graph gets built regardless — and
+/// results are stamped and settled by lcm-store's cache rule.
 pub fn fig8_series(
     cfg: SynthConfig,
     jobs: usize,
@@ -506,74 +514,30 @@ pub fn fig8_series(
     let names: Vec<String> = m.public_functions().map(|f| f.name.clone()).collect();
     let faults = det.config().faults.merged_with_env();
     let per_fn = lcm_core::par::map_indexed_catch(&names, jobs, |i, name| {
-        if faults.fires(lcm_core::fault::site::WORKER_PANIC, i) {
-            panic!("injected fault: worker_panic in function {i} (`{name}`)");
-        }
-        // Both engines' fingerprints: a point is only a hit when the
-        // store answers for *both* (they share one S-AEG build, so a
-        // half-hit saves nothing — the graph gets built regardless).
-        let fps = store.map(|_| {
-            (
-                lcm_store::clou_fingerprint(&m, name, det.config(), EngineKind::Pht),
-                lcm_store::clou_fingerprint(&m, name, det.config(), EngineKind::Stl),
-            )
+        let keyed = store.map(|store| {
+            let fps = FIG8_ENGINES.map(|e| lcm_store::clou_fingerprint(&m, name, det.config(), e));
+            (store, fps)
         });
-        if let (Some(store), Some((fp_pht, fp_stl))) = (store, fps) {
-            let t0 = std::time::Instant::now();
-            if let Some(pht) = store.lookup_clou(fp_pht) {
-                let pht_time = t0.elapsed();
-                let t1 = std::time::Instant::now();
-                if store.lookup_clou(fp_stl).is_some() {
-                    return Fig8Point {
-                        function: name.clone(),
-                        size: pht.saeg_size,
-                        pht_time,
-                        stl_time: t1.elapsed(),
-                        degraded: None,
-                        cache: CacheStatus::Hit,
-                    };
+        let [pht, stl] = keyed
+            .and_then(|(store, fps)| stored_pair(store, fps))
+            .unwrap_or_else(|| {
+                let mut reports = det.analyze_engines(&m, name, FIG8_ENGINES, i, &faults);
+                for (k, report) in reports.iter_mut().enumerate() {
+                    lcm_store::settle(report, keyed.map(|(store, fps)| (store, fps[k])));
                 }
-            }
-        }
-        let acfg = match lcm_ir::acfg::build_acfg(&m, name) {
-            Ok(a) => a,
-            Err(e) => {
-                return Fig8Point {
-                    function: name.clone(),
-                    size: 0,
-                    pht_time: Duration::ZERO,
-                    stl_time: Duration::ZERO,
-                    degraded: Some(format!("malformed IR: {e}")),
-                    cache: CacheStatus::Bypass,
-                }
-            }
-        };
-        let saeg = Saeg::from_acfg(name, acfg, det.config().spec);
-        let mut pht = det.analyze_saeg_report_at(&m, &saeg, EngineKind::Pht, i);
-        let mut stl = det.analyze_saeg_report_at(&m, &saeg, EngineKind::Stl, i);
-        let cache = match (store, fps) {
-            (Some(store), Some((fp_pht, fp_stl))) => {
-                // Degraded results are never stored (their findings are
-                // a lower bound, not the answer).
-                if pht.status.is_completed() {
-                    pht.cache = CacheStatus::Miss;
-                    store.insert_clou(fp_pht, &pht);
-                }
-                if stl.status.is_completed() {
-                    stl.cache = CacheStatus::Miss;
-                    store.insert_clou(fp_stl, &stl);
-                }
-                CacheStatus::Miss
-            }
-            _ => CacheStatus::Bypass,
-        };
+                reports
+            });
         Fig8Point {
             function: name.clone(),
-            size: saeg.events.len(),
-            pht_time: pht.runtime,
-            stl_time: stl.runtime,
+            size: pht.saeg_size,
+            pht_time: engine_time(&pht),
+            stl_time: engine_time(&stl),
             degraded: fig8_degraded(&pht.status, &stl.status),
-            cache,
+            cache: if pht.cache == stl.cache {
+                pht.cache
+            } else {
+                CacheStatus::Bypass
+            },
         }
     });
     let mut out: Vec<Fig8Point> = per_fn
@@ -593,6 +557,27 @@ pub fn fig8_series(
         .collect();
     out.sort_by_key(|p| p.size);
     out
+}
+
+/// Both engines' stored reports, stamped as hits, or `None` unless the
+/// store answers for both.
+fn stored_pair(store: &Store, fps: [Fingerprint; 2]) -> Option<[FunctionReport; 2]> {
+    let t0 = Instant::now();
+    let mut pht = store.lookup_clou(fps[0])?;
+    let pht_lookup = t0.elapsed();
+    let t1 = Instant::now();
+    let mut stl = store.lookup_clou(fps[1])?;
+    lcm_store::stamp_hit(&mut pht, pht_lookup);
+    lcm_store::stamp_hit(&mut stl, t1.elapsed());
+    Some([pht, stl])
+}
+
+/// A report's time minus the shared graph build, which the first
+/// engine's report carries: the scatter plots engine time.
+fn engine_time(report: &FunctionReport) -> Duration {
+    report
+        .runtime
+        .saturating_sub(report.timings.acfg_build + report.timings.saeg_build)
 }
 
 #[cfg(test)]
@@ -693,6 +678,41 @@ mod tests {
         let warm_clou = &warm[0];
         assert_eq!(warm_clou.timings.queries_avoided, 0);
         assert_eq!(warm_clou.timings.cache_hits as usize, warm_clou.pfun);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn warm_fig8_is_all_hits_with_identical_points() {
+        // Asserts specific cache labels, so an armed `LCM_FAULT` (which
+        // degrades points, and degraded points are never cached) skips.
+        if std::env::var(lcm_core::fault::FAULT_ENV).is_ok_and(|v| !v.trim().is_empty()) {
+            return;
+        }
+        let path = std::env::temp_dir().join(format!(
+            "lcm-bench-fig8-{}-{:?}.lcmstore",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_file(&path).ok();
+        let store = Store::open(&path).unwrap();
+        let cfg = SynthConfig {
+            functions: 6,
+            max_stmts: 24,
+            ..SynthConfig::libsodium_scale()
+        };
+        let cold = fig8_series(cfg, 1, Budgets::default(), Some(&store));
+        let warm = fig8_series(cfg, 1, Budgets::default(), Some(&store));
+        assert_eq!(cold.len(), 6);
+        assert!(cold
+            .iter()
+            .all(|p| p.cache == CacheStatus::Miss && p.degraded.is_none()));
+        assert!(warm.iter().all(|p| p.cache == CacheStatus::Hit));
+        let rows = |ps: &[Fig8Point]| -> Vec<(String, usize)> {
+            ps.iter().map(|p| (p.function.clone(), p.size)).collect()
+        };
+        assert_eq!(rows(&cold), rows(&warm));
+        // Both engines' results were stored, one record per engine.
+        assert_eq!(store.len(), 2 * cold.len());
         std::fs::remove_file(&path).ok();
     }
 

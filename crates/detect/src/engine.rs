@@ -19,7 +19,7 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use lcm_aeg::addr::{alias, AliasResult};
 use lcm_aeg::deps::{ctrl_edges, generalized_addr, Gaddr};
@@ -143,11 +143,6 @@ pub struct DetectorConfig {
     /// §6.2.1: ignore universal patterns whose access instruction is
     /// non-transient when searching UDTs/UCTs — classify them as DTs/CTs.
     pub universal_needs_transient_access: bool,
-    /// **Extension** (§7: "adding support for secrecy labels to Clou can
-    /// help filter benign DTs/CTs"): keep only findings whose access may
-    /// read memory marked secret (globals named `sec*` / `*secret*` /
-    /// `*key*` in mini-C, or any unresolvable pointer).
-    pub secret_filter: bool,
     /// **Extension** (the "new attack variant" of §6.1 / speculative
     /// interference): also report transient instructions that warm a cache
     /// line for a same-address committed load (an rf-NI violation whose
@@ -177,7 +172,6 @@ impl Default for DetectorConfig {
             target_class: None,
             gep_filter: true,
             universal_needs_transient_access: true,
-            secret_filter: false,
             detect_interference: false,
             jobs: 0,
             budgets: Budgets::default(),
@@ -274,7 +268,8 @@ impl Detector {
         let names: Vec<&str> = module.public_functions().map(|f| f.name.as_str()).collect();
         let faults = self.config.faults.merged_with_env();
         let results = lcm_core::par::map_indexed_catch(&names, self.config.jobs, |i, name| {
-            self.analyze_function_governed(module, name, engine, i, &faults)
+            let [report] = self.analyze_engines(module, name, [engine], i, &faults);
+            report
         });
         let functions = results
             .into_iter()
@@ -305,37 +300,46 @@ impl Detector {
             .position(|f| f.name == fname)
             .unwrap_or(0);
         let faults = self.config.faults.merged_with_env();
-        self.analyze_function_governed(module, fname, engine, index, &faults)
+        let [report] = self.analyze_engines(module, fname, [engine], index, &faults);
+        report
     }
 
-    /// The governed per-function pipeline. `index` is the function's
-    /// position in module order (keys the fault plan); panics from the
-    /// `worker_panic` site (or real bugs) are caught by
-    /// [`Self::analyze_module`]'s `catch_unwind` fan-out.
-    fn analyze_function_governed(
+    /// The governed per-function pipeline: builds `fname`'s A-CFG and
+    /// S-AEG once and runs each of `engines` over it, one report per
+    /// engine, in order. `index` is the function's position in module
+    /// order and keys `faults`, which callers pass already merged with
+    /// `LCM_FAULT`.
+    ///
+    /// The first engine's governor starts before the build, so its
+    /// budgets and its report's `runtime` cover the build, and its
+    /// report carries the `acfg_build`/`saeg_build` timings. Each later
+    /// engine's governor starts at its own run and its `runtime` is
+    /// that run alone. Every governor checks the S-AEG budget. A failed
+    /// build degrades every report with the same error. A
+    /// `worker_panic` fault panics here, for the caller's
+    /// `catch_unwind` fan-out to confine.
+    pub fn analyze_engines<const N: usize>(
         &self,
         module: &Module,
         fname: &str,
-        engine: EngineKind,
+        engines: [EngineKind; N],
         index: usize,
         faults: &FaultPlan,
-    ) -> FunctionReport {
+    ) -> [FunctionReport; N] {
         let start = Instant::now();
-        let gov = Arc::new(ResourceGovernor::new(
-            self.config.budgets.clone(),
-            faults,
-            index,
-        ));
+        let governor = || Arc::new(ResourceGovernor::new(self.config.budgets, faults, index));
+        let gov = governor();
         if gov.fault_fires(site::WORKER_PANIC) {
             panic!("injected fault: worker_panic in function {index} (`{fname}`)");
         }
-        let degraded = |err: AnalysisError, start: Instant| {
+        let degraded = |err: AnalysisError| {
             let mut r = FunctionReport::degraded(fname.to_string(), err);
             r.runtime = start.elapsed();
             r
         };
         if !gov.poll_now() {
-            return degraded(gov.tripped().expect("governor tripped"), start);
+            let err = gov.tripped().expect("governor tripped");
+            return std::array::from_fn(|_| degraded(err.clone()));
         }
         let t0 = Instant::now();
         let mut sp = lcm_obs::span("acfg_build", "detect");
@@ -352,7 +356,7 @@ impl Detector {
         drop(sp);
         let acfg = match acfg {
             Ok(a) => a,
-            Err(e) => return degraded(e, start),
+            Err(e) => return std::array::from_fn(|_| degraded(e.clone())),
         };
         let acfg_build = t0.elapsed();
         let t1 = Instant::now();
@@ -362,78 +366,43 @@ impl Detector {
         sp.arg_u64("events", saeg.events.len() as u64);
         drop(sp);
         let saeg_build = t1.elapsed();
-        let mut report = if !gov.check_saeg(saeg.events.len(), saeg.edge_count()) || !gov.poll_now()
-        {
-            degraded(gov.tripped().expect("governor tripped"), start)
-        } else {
-            self.analyze_saeg_report_governed(module, &saeg, engine, Some(&gov))
-        };
-        report.saeg_size = saeg.events.len();
-        report.timings.acfg_build = acfg_build;
-        report.timings.saeg_build = saeg_build;
-        report.runtime = start.elapsed();
-        report
+        let mut first = Some(gov);
+        engines.map(|engine| {
+            let shares_build = first.is_some();
+            let since = if shares_build { start } else { Instant::now() };
+            let gov = first.take().unwrap_or_else(governor);
+            let mut report =
+                if !gov.check_saeg(saeg.events.len(), saeg.edge_count()) || !gov.poll_now() {
+                    FunctionReport::degraded(
+                        fname.to_string(),
+                        gov.tripped().expect("governor tripped"),
+                    )
+                } else {
+                    self.saeg_report(&saeg, engine, &gov)
+                };
+            report.saeg_size = saeg.events.len();
+            if shares_build {
+                report.timings.acfg_build = acfg_build;
+                report.timings.saeg_build = saeg_build;
+            }
+            report.runtime = since.elapsed();
+            report
+        })
     }
 
-    /// Runs one engine over an already-built S-AEG, producing a full
-    /// report (filters, severity ordering, phase timings) — this lets
-    /// callers that need several engines over the same function build
-    /// the S-AEG once. `timings.acfg_build`/`saeg_build` are zero here;
-    /// [`Self::analyze_function`] fills them in. Ungoverned: budgets and
-    /// fault sites are not applied (see [`Self::analyze_saeg_report_at`]).
-    pub fn analyze_saeg_report(
+    /// One governed engine run over a built S-AEG: filters, severity
+    /// ordering and phase timings.
+    fn saeg_report(
         &self,
-        module: &Module,
         saeg: &Saeg,
         engine: EngineKind,
+        gov: &Arc<ResourceGovernor>,
     ) -> FunctionReport {
-        self.analyze_saeg_report_governed(module, saeg, engine, None)
-    }
-
-    /// Like [`Self::analyze_saeg_report`], but governed by
-    /// [`DetectorConfig::budgets`] and the fault plan, with the function
-    /// at `index` in module order. Used by callers that build S-AEGs
-    /// themselves (the fig8 bench) but still want graceful degradation.
-    pub fn analyze_saeg_report_at(
-        &self,
-        module: &Module,
-        saeg: &Saeg,
-        engine: EngineKind,
-        index: usize,
-    ) -> FunctionReport {
-        let faults = self.config.faults.merged_with_env();
-        let gov = Arc::new(ResourceGovernor::new(
-            self.config.budgets.clone(),
-            &faults,
-            index,
-        ));
-        if !gov.check_saeg(saeg.events.len(), saeg.edge_count()) || !gov.poll_now() {
-            let mut r = FunctionReport::degraded(
-                saeg.fname.clone(),
-                gov.tripped().expect("governor tripped"),
-            );
-            r.saeg_size = saeg.events.len();
-            return r;
-        }
-        self.analyze_saeg_report_governed(module, saeg, engine, Some(&gov))
-    }
-
-    fn analyze_saeg_report_governed(
-        &self,
-        module: &Module,
-        saeg: &Saeg,
-        engine: EngineKind,
-        gov: Option<&Arc<ResourceGovernor>>,
-    ) -> FunctionReport {
-        let start = Instant::now();
-        let (mut findings, timings) = self.analyze_saeg_timed(saeg, engine, gov);
-        if self.config.secret_filter {
-            findings.retain(|f| secret_relevant(module, saeg, f));
-        }
+        let (mut findings, timings) = self.analyze_saeg_timed(saeg, engine, Some(gov));
         findings.sort_by_key(|f| std::cmp::Reverse(f.class.severity_rank()));
         // Findings gathered before a trip are kept: a degraded report is
         // a lower bound, not garbage.
-        let status = match gov.and_then(|g| g.tripped()) {
+        let status = match gov.tripped() {
             Some(err) => FunctionStatus::Degraded(err),
             None => FunctionStatus::Completed,
         };
@@ -441,7 +410,7 @@ impl Detector {
             name: saeg.fname.clone(),
             transmitters: findings,
             saeg_size: saeg.events.len(),
-            runtime: start.elapsed(),
+            runtime: Duration::ZERO,
             timings,
             status,
             cache: CacheStatus::Bypass,
@@ -1045,19 +1014,6 @@ impl<'a> EngineRun<'a> {
     }
 }
 
-/// Whether a finding's access may read secret-marked memory (extension:
-/// the secrecy-label filter of §7). `Unknown` regions (unresolvable
-/// pointers) are conservatively secret-reaching.
-pub fn secret_relevant(module: &Module, saeg: &Saeg, f: &Finding) -> bool {
-    use lcm_aeg::addr::Region;
-    let probe = f.access.unwrap_or(f.transmitter);
-    match saeg.events[probe.0].addr.map(|a| a.region) {
-        Some(Region::Global(g)) => module.globals.get(g as usize).is_some_and(|gl| gl.secret),
-        Some(Region::Alloca(_)) => false,
-        Some(Region::Unknown) | None => true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1268,68 +1224,6 @@ mod tests {
         let m = lcm_minic::compile(fenced).unwrap();
         let det = Detector::new(DetectorConfig::default());
         assert!(det.analyze_module(&m, EngineKind::Psf).is_clean());
-    }
-
-    #[test]
-    fn secret_filter_keeps_secret_touching_chains_only() {
-        // Two gadgets: one reads a secret-marked array, one a public one.
-        let src = r#"
-            int sec_table[16]; int pub_table[16]; int B[4096];
-            int size; int tmp;
-            void secret_victim(int x) {
-                if (x < size)
-                    tmp &= B[sec_table[x] * 512];
-            }
-            void public_victim(int x) {
-                if (x < size)
-                    tmp &= B[pub_table[x] * 512];
-            }"#;
-        let m = lcm_minic::compile(src).unwrap();
-        let filtered = Detector::new(DetectorConfig {
-            secret_filter: true,
-            ..DetectorConfig::default()
-        })
-        .analyze_module(&m, EngineKind::Pht);
-        let sec = filtered
-            .functions
-            .iter()
-            .find(|f| f.name == "secret_victim")
-            .unwrap();
-        let pb = filtered
-            .functions
-            .iter()
-            .find(|f| f.name == "public_victim")
-            .unwrap();
-        assert!(
-            sec.transmitters
-                .iter()
-                .any(|f| f.class == TransmitterClass::UniversalData),
-            "secret-reading UDT survives the filter"
-        );
-        assert!(
-            pb.transmitters
-                .iter()
-                .filter(|f| f.class == TransmitterClass::UniversalData)
-                .all(|f| {
-                    // Any surviving UDT must not have a resolved public
-                    // access region.
-                    f.access.is_none()
-                }),
-            "public-only UDT chains are filtered: {:?}",
-            pb.transmitters
-        );
-        // The unfiltered run flags both.
-        let unfiltered =
-            Detector::new(DetectorConfig::default()).analyze_module(&m, EngineKind::Pht);
-        let pb_all = unfiltered
-            .functions
-            .iter()
-            .find(|f| f.name == "public_victim")
-            .unwrap();
-        assert!(pb_all
-            .transmitters
-            .iter()
-            .any(|f| f.class == TransmitterClass::UniversalData));
     }
 
     /// §6.2.1's completeness guarantee: "As long as addr dependencies span

@@ -45,7 +45,7 @@ mod repair;
 mod report;
 mod witness;
 
-pub use engine::{secret_relevant, Detector, DetectorConfig, EngineKind};
+pub use engine::{Detector, DetectorConfig, EngineKind};
 pub use repair::{repair, repair_all, repair_function, repair_once};
 pub use report::{
     CacheStatus, Finding, FunctionReport, FunctionStatus, ModuleReport, PhaseTimings,

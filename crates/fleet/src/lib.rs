@@ -17,10 +17,10 @@
 //! The standing invariant of the whole resilience layer extends to the
 //! fleet: rendered results are **byte-identical** to an in-process run
 //! at every worker count, under every armed `fleet.*` fault. Findings
-//! cross the pipe through the store's own codec, the supervisor mirrors
-//! the store's cache discipline exactly (hits served supervisor-side,
-//! completed results inserted, degraded results never cached), and
-//! functions are reassembled in module order.
+//! cross the pipe through the store's own codec, the supervisor applies
+//! the store's own cache rule (hits served supervisor-side, completed
+//! results inserted, degraded results never cached), and functions are
+//! reassembled in module order.
 //!
 //! Worker identity is solved by re-execution: the supervisor spawns
 //! *its own executable* with the [`worker::WORKER_ENV`] marker set, and

@@ -17,7 +17,6 @@ use std::time::Duration;
 
 use lcm_core::govern::{AnalysisError, BudgetKind, Budgets};
 use lcm_core::speculation::SpeculationConfig;
-use lcm_core::taxonomy::TransmitterClass;
 use lcm_core::FaultPlan;
 use lcm_detect::{DetectorConfig, EngineKind, FunctionReport, FunctionStatus, PhaseTimings};
 use lcm_obs::metrics::{HistogramSnapshot, MetricValue, MetricsSnapshot};
@@ -194,59 +193,22 @@ fn engine_of(code: u8) -> Result<EngineKind, Corrupt> {
     })
 }
 
-fn class_code(c: TransmitterClass) -> u8 {
-    match c {
-        TransmitterClass::Address => 0,
-        TransmitterClass::Control => 1,
-        TransmitterClass::Data => 2,
-        TransmitterClass::UniversalControl => 3,
-        TransmitterClass::UniversalData => 4,
-    }
-}
-
-fn class_of(code: u8) -> Result<TransmitterClass, Corrupt> {
-    Ok(match code {
-        0 => TransmitterClass::Address,
-        1 => TransmitterClass::Control,
-        2 => TransmitterClass::Data,
-        3 => TransmitterClass::UniversalControl,
-        4 => TransmitterClass::UniversalData,
-        _ => return Err(Corrupt),
-    })
-}
-
-fn opt_u64(w: &mut W, v: Option<u64>) {
-    match v {
-        None => w.u8(0),
-        Some(v) => {
-            w.u8(1);
-            w.u64(v);
-        }
-    }
-}
-
-fn opt_u64_of(r: &mut R) -> Result<Option<u64>, Corrupt> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        _ => Err(Corrupt),
-    }
-}
-
 fn encode_config(w: &mut W, c: &DetectorConfig) {
     w.u64(c.spec.rob_size as u64);
     w.u64(c.spec.lsq_size as u64);
     w.u64(c.spec.speculation_depth as u64);
     w.u64(c.window as u64);
     // u64::MAX = every class (the fingerprint uses the same sentinel).
-    w.u64(c.target_class.map_or(u64::MAX, |tc| class_code(tc) as u64));
+    w.u64(
+        c.target_class
+            .map_or(u64::MAX, |tc| codec::class_code(tc) as u64),
+    );
     w.bool(c.gep_filter);
     w.bool(c.universal_needs_transient_access);
-    w.bool(c.secret_filter);
     w.bool(c.detect_interference);
-    opt_u64(w, c.budgets.timeout.map(|d| d.as_nanos() as u64));
-    opt_u64(w, c.budgets.max_saeg_nodes.map(|n| n as u64));
-    opt_u64(w, c.budgets.max_saeg_edges.map(|n| n as u64));
+    w.opt_u64(c.budgets.timeout.map(|d| d.as_nanos() as u64));
+    w.opt_u64(c.budgets.max_saeg_nodes.map(|n| n as u64));
+    w.opt_u64(c.budgets.max_saeg_edges.map(|n| n as u64));
     w.str(&c.faults.render());
 }
 
@@ -260,16 +222,15 @@ fn decode_config(r: &mut R) -> Result<DetectorConfig, Corrupt> {
     c.window = r.u64()? as usize;
     c.target_class = match r.u64()? {
         u64::MAX => None,
-        code => Some(class_of(u8::try_from(code).map_err(|_| Corrupt)?)?),
+        code => Some(codec::class_of(u8::try_from(code).map_err(|_| Corrupt)?)?),
     };
     c.gep_filter = r.bool()?;
     c.universal_needs_transient_access = r.bool()?;
-    c.secret_filter = r.bool()?;
     c.detect_interference = r.bool()?;
     c.budgets = Budgets {
-        timeout: opt_u64_of(r)?.map(Duration::from_nanos),
-        max_saeg_nodes: opt_u64_of(r)?.map(|n| n as usize),
-        max_saeg_edges: opt_u64_of(r)?.map(|n| n as usize),
+        timeout: r.opt_u64()?.map(Duration::from_nanos),
+        max_saeg_nodes: r.opt_u64()?.map(|n| n as usize),
+        max_saeg_edges: r.opt_u64()?.map(|n| n as usize),
     };
     c.faults = FaultPlan::parse(&r.str()?).map_err(|_| Corrupt)?;
     Ok(c)
@@ -378,10 +339,7 @@ fn encode_report(w: &mut W, report: &FunctionReport) {
             encode_error(w, e);
         }
     }
-    w.u32(report.transmitters.len() as u32);
-    for f in &report.transmitters {
-        codec::encode_finding(w, f);
-    }
+    codec::encode_findings(w, &report.transmitters);
 }
 
 fn decode_report(r: &mut R) -> Result<FunctionReport, Corrupt> {
@@ -394,11 +352,7 @@ fn decode_report(r: &mut R) -> Result<FunctionReport, Corrupt> {
         1 => FunctionStatus::Degraded(decode_error(r)?),
         _ => return Err(Corrupt),
     };
-    let n = r.u32()? as usize;
-    let mut transmitters = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        transmitters.push(codec::decode_finding(r)?);
-    }
+    let transmitters = codec::decode_findings(r)?;
     Ok(FunctionReport {
         name,
         transmitters,
@@ -696,12 +650,12 @@ impl FromWorker {
 mod tests {
     use super::*;
     use lcm_core::fault::site;
+    use lcm_core::taxonomy::TransmitterClass;
 
     fn sample_config() -> DetectorConfig {
         let mut c = DetectorConfig::default();
         c.window = 99;
         c.target_class = Some(TransmitterClass::UniversalData);
-        c.secret_filter = true;
         c.budgets.timeout = Some(Duration::from_millis(1500));
         c.budgets.max_saeg_nodes = Some(4096);
         c.faults = FaultPlan::default().arm(site::WORKER_PANIC, Some(1));

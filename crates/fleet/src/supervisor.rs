@@ -48,7 +48,7 @@ use lcm_core::backoff_delay;
 use lcm_core::fault::{site, FaultPlan};
 use lcm_core::govern::AnalysisError;
 use lcm_core::jsonw::Json;
-use lcm_detect::{CacheStatus, DetectorConfig, EngineKind, FunctionReport, ModuleReport};
+use lcm_detect::{DetectorConfig, EngineKind, FunctionReport, ModuleReport};
 use lcm_ir::Module;
 use lcm_obs::trace;
 use lcm_store::{clou_fingerprint, Store};
@@ -370,12 +370,13 @@ impl Fleet {
     }
 
     /// Analyzes `module` (compiled from `source`) across the worker
-    /// pool, mirroring the in-process cache discipline exactly: hits
-    /// are served supervisor-side and never reach a worker; completed
-    /// worker results are inserted as misses; degraded results bypass
-    /// the cache (their findings are a lower bound, kept but never
-    /// cached). Functions come back in module order — rendered output
-    /// is byte-identical to `analyze_module_cached` /
+    /// pool under lcm-store's cache rule: hits are served
+    /// supervisor-side through [`lcm_store::stamp_hit`] and never reach
+    /// a worker, and every worker result goes through
+    /// [`lcm_store::settle`] (completed results inserted as misses,
+    /// degraded ones kept as a lower bound but never cached).
+    /// Functions come back in module order — rendered output is
+    /// byte-identical to `analyze_module_cached` /
     /// `Detector::analyze_module` at every worker count.
     pub fn analyze_module(
         &self,
@@ -427,9 +428,7 @@ impl Inner {
             run_span.arg_u64("workers", self.slots.len() as u64);
         }
 
-        // Cache pre-pass: hits never reach a worker. Mirrors
-        // `cached_function_report`'s hit path (runtime = lookup time,
-        // the `cache` phase bucket, cache_hits = 1).
+        // Cache pre-pass: hits never reach a worker.
         let fps: Vec<_> = names
             .iter()
             .map(|name| clou_fingerprint(module, name, config, engine))
@@ -439,11 +438,7 @@ impl Inner {
             if let Some(store) = store {
                 let t0 = Instant::now();
                 if let Some(mut hit) = store.lookup_clou(fps[i]) {
-                    cache_traffic(CacheStatus::Hit).inc();
-                    let elapsed = t0.elapsed();
-                    hit.runtime = elapsed;
-                    hit.timings.cache = elapsed;
-                    hit.timings.cache_hits = 1;
+                    lcm_store::stamp_hit(&mut hit, t0.elapsed());
                     done[i] = Some(hit);
                     continue;
                 }
@@ -618,9 +613,9 @@ impl Inner {
                             }
                             self.slots[slot].consecutive_failures = 0;
                             self.slots[slot].health.tasks += 1;
-                            let task = &pending[t];
-                            done[task.fn_index] =
-                                Some(finish_report(res.report, fps[task.fn_index], store));
+                            let i = pending[t].fn_index;
+                            lcm_store::settle(&mut res.report, store.map(|s| (s, fps[i])));
+                            done[i] = Some(res.report);
                             remaining -= 1;
                         }
                         Event::Drain(telemetry) => {
@@ -1209,36 +1204,6 @@ fn kill_counter(reason: &str) -> lcm_obs::metrics::Counter {
     )
 }
 
-/// Applies the in-process cache discipline to a worker's report:
-/// completed results are inserted and labeled `Miss`; degraded results
-/// bypass the cache. Mirrors `cached_function_report`'s miss path.
-fn finish_report(
-    mut report: FunctionReport,
-    fp: lcm_store::Fingerprint,
-    store: Option<&Store>,
-) -> FunctionReport {
-    match store {
-        Some(store) if report.status.is_completed() => {
-            report.cache = CacheStatus::Miss;
-            store.insert_clou(fp, &report);
-            cache_traffic(CacheStatus::Miss).inc();
-        }
-        Some(_) => {
-            report.cache = CacheStatus::Bypass;
-            // The in-process path skips the bypass counter for worker
-            // panics (the panic unwinds past the increment); mirror it.
-            if !matches!(
-                report.status.error(),
-                Some(AnalysisError::WorkerPanic { .. })
-            ) {
-                cache_traffic(CacheStatus::Bypass).inc();
-            }
-        }
-        None => report.cache = CacheStatus::Bypass,
-    }
-    report
-}
-
 /// Deterministic degradation for a function that kept killing its
 /// workers (the per-function circuit breaker).
 fn degraded_task_fatal(name: &str, lost: usize) -> FunctionReport {
@@ -1258,32 +1223,4 @@ fn degraded_pool_exhausted(name: &str) -> FunctionReport {
             message: format!("fleet: worker pool exhausted analyzing `{name}`"),
         },
     )
-}
-
-/// The process-wide cache-traffic counters, same names as the store's
-/// own (`lcm_cache_{hits,misses,bypass}_total`) — fleet-mode runs and
-/// in-process runs report cache traffic through one set of metrics.
-fn cache_traffic(status: CacheStatus) -> &'static lcm_obs::metrics::Counter {
-    use lcm_obs::metrics::{global, names, Counter};
-    use std::sync::OnceLock;
-    static HANDLES: OnceLock<[Counter; 3]> = OnceLock::new();
-    let [hits, misses, bypass] = HANDLES.get_or_init(|| {
-        let g = global();
-        [
-            g.counter(names::CACHE_HITS, "Function results served from the store"),
-            g.counter(
-                names::CACHE_MISSES,
-                "Function results analyzed and inserted into the store",
-            ),
-            g.counter(
-                names::CACHE_BYPASS,
-                "Function results that skipped the store (degraded/uncacheable)",
-            ),
-        ]
-    });
-    match status {
-        CacheStatus::Hit => hits,
-        CacheStatus::Miss => misses,
-        CacheStatus::Bypass => bypass,
-    }
 }

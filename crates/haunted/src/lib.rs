@@ -191,7 +191,9 @@ pub fn analyze_module(
     HauntedModuleReport { functions }
 }
 
-fn degraded_report(name: &str, reason: String) -> HauntedReport {
+/// The report of a function the baseline could not analyze: no leaks,
+/// no paths, zero times, and `reason` as [`HauntedReport::degraded`].
+pub fn degraded_report(name: &str, reason: String) -> HauntedReport {
     HauntedReport {
         name: name.to_string(),
         leaks: Vec::new(),

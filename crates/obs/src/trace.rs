@@ -139,9 +139,9 @@ pub struct Span {
 /// Opens a span named `name` in category `cat` on the current thread.
 ///
 /// `cat` groups spans for trace-viewer filtering; this workspace uses
-/// the stage names `detect`, `sat`, `store`, and `serve` (see
-/// DESIGN.md §6e for the taxonomy). When tracing is disabled this is
-/// one relaxed atomic load.
+/// the stage names `detect`, `haunted`, `store`, `fleet`, and `serve`
+/// (see DESIGN.md §6e for the taxonomy). When tracing is disabled this
+/// is one relaxed atomic load.
 #[inline]
 pub fn span(name: &'static str, cat: &'static str) -> Span {
     if !ENABLED.load(Ordering::Relaxed) {
@@ -273,11 +273,38 @@ fn foreign() -> &'static Mutex<Vec<(u32, Vec<ForeignEvent>)>> {
 /// now-stale end on drop, so every drained batch is balanced per
 /// thread and successive batches from one thread stay monotone.
 pub fn drain_local_events() -> Vec<ForeignEvent> {
-    EPOCH.fetch_add(1, Ordering::AcqRel);
-    let bufs: Vec<Arc<ThreadBuf>> = buffers().lock().unwrap().clone();
     let mut out = Vec::new();
-    for buf in bufs {
-        let events: Vec<Event> = std::mem::take(&mut *buf.events.lock().unwrap());
+    drain(|tid, e| {
+        out.push(ForeignEvent {
+            tid,
+            name: e.name.to_string(),
+            cat: e.cat.to_string(),
+            begin: e.begin,
+            ts_us: e.ts_us,
+            args: e
+                .args
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        });
+    });
+    out
+}
+
+/// Takes every thread's buffered events and hands them to `sink` with
+/// the thread's lane id, in recording order, followed by a synthesized
+/// end at the drain timestamp for each span still open (innermost
+/// first). Bumps the epoch first, so the guards of those spans skip
+/// their stale end on drop. Afterwards the registry forgets the empty
+/// buffers of exited threads: a buffer only the registry still holds
+/// can never record again.
+fn drain(mut sink: impl FnMut(u64, &Event)) {
+    EPOCH.fetch_add(1, Ordering::AcqRel);
+    let bufs: Vec<Arc<ThreadBuf>> = buffers().lock().expect("trace registry poisoned").clone();
+    for buf in &bufs {
+        let events: Vec<Event> =
+            std::mem::take(&mut *buf.events.lock().expect("trace buffer poisoned"));
+        // Indices of begins not yet matched by an end, innermost last.
         let mut open: Vec<usize> = Vec::new();
         for (i, e) in events.iter().enumerate() {
             if e.begin {
@@ -285,32 +312,26 @@ pub fn drain_local_events() -> Vec<ForeignEvent> {
             } else {
                 open.pop();
             }
-            out.push(ForeignEvent {
-                tid: buf.tid,
-                name: e.name.to_string(),
-                cat: e.cat.to_string(),
-                begin: e.begin,
-                ts_us: e.ts_us,
-                args: e
-                    .args
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            });
+            sink(buf.tid, e);
         }
         let close_ts = now_us().max(events.last().map_or(0, |e| e.ts_us));
         for &i in open.iter().rev() {
-            out.push(ForeignEvent {
-                tid: buf.tid,
-                name: events[i].name.to_string(),
-                cat: events[i].cat.to_string(),
+            let end = Event {
+                name: events[i].name,
+                cat: events[i].cat,
                 begin: false,
                 ts_us: close_ts,
                 args: Vec::new(),
-            });
+            };
+            sink(buf.tid, &end);
         }
     }
-    out
+    drop(bufs);
+    // A buffer only the registry holds belongs to an exited thread.
+    let mut registry = buffers().lock().expect("trace registry poisoned");
+    registry.retain(|b| {
+        Arc::strong_count(b) > 1 || !b.events.lock().expect("trace buffer poisoned").is_empty()
+    });
 }
 
 /// Queues a batch of re-based events from process `pid` for the next
@@ -428,52 +449,25 @@ fn process_name_into(out: &mut String, pid: u32, name: &str) {
 ///
 /// Spans still open get a synthesized end event at the export
 /// timestamp, so the document is always balanced; their guards skip
-/// the stale end when they eventually drop. Buffers are left empty but
-/// registered — recording continues afterwards if still enabled.
+/// the stale end when they eventually drop. Live threads' buffers are
+/// left empty but registered — recording continues afterwards if still
+/// enabled — and exited threads' buffers are dropped.
 ///
 /// Queued foreign batches ([`add_foreign_events`]) are drained too:
 /// they render under their originating `pid` with `process_name`
 /// metadata records distinguishing the lanes, producing one merged
 /// multi-process timeline.
 pub fn export_chrome_trace() -> String {
-    // Bump first: guards that drop from here on skip their end event.
-    EPOCH.fetch_add(1, Ordering::AcqRel);
     let pid = std::process::id();
-    let bufs: Vec<Arc<ThreadBuf>> = buffers().lock().unwrap().clone();
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
-    for buf in bufs {
-        let events: Vec<Event> = std::mem::take(&mut *buf.events.lock().unwrap());
-        // Indices of begins not yet matched by an end, innermost last.
-        let mut open: Vec<usize> = Vec::new();
-        for (i, e) in events.iter().enumerate() {
-            if e.begin {
-                open.push(i);
-            } else {
-                open.pop();
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            event_into(&mut out, pid, buf.tid, e);
+    drain(|tid, e| {
+        if !first {
+            out.push(',');
         }
-        let close_ts = now_us().max(events.last().map_or(0, |e| e.ts_us));
-        for &i in open.iter().rev() {
-            let e = Event {
-                name: events[i].name,
-                cat: events[i].cat,
-                begin: false,
-                ts_us: close_ts,
-                args: Vec::new(),
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            event_into(&mut out, pid, buf.tid, &e);
-        }
-    }
+        first = false;
+        event_into(&mut out, pid, tid, e);
+    });
     // Foreign batches render under their own pid lane. Process-name
     // metadata records appear only for multi-process traces, so a
     // single-process export is byte-for-byte what it always was.
@@ -617,5 +611,38 @@ mod tests {
         // An empty foreign batch is a no-op.
         add_foreign_events(7, Vec::new());
         assert!(!export_chrome_trace().contains("\"ph\":\"M\""));
+
+        // Bounded buffers: short-lived threads register a buffer each,
+        // and draining forgets those of threads that have exited.
+        let registered = || buffers().lock().unwrap().len();
+        let before = registered();
+        enable();
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                std::thread::spawn(|| {
+                    let _s = span("short-lived", "test");
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(registered(), before + 8);
+        let lived = export_chrome_trace();
+        disable();
+        assert_eq!(lived.matches("\"name\":\"short-lived\"").count(), 16);
+        assert_eq!(
+            lived.matches("\"ph\":\"B\"").count(),
+            lived.matches("\"ph\":\"E\"").count(),
+            "balanced: {lived}"
+        );
+        assert_eq!(registered(), before, "exited threads' buffers dropped");
+        let drained = drain_local_events();
+        assert_eq!(
+            drained.iter().filter(|e| e.begin).count(),
+            drained.iter().filter(|e| !e.begin).count()
+        );
+        assert!(drained.iter().all(|e| e.name != "short-lived"));
+        assert_eq!(registered(), before);
     }
 }

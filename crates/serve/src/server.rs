@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use lcm_core::fault::{site, FaultPlan};
 use lcm_core::jsonw::Json;
-use lcm_detect::{Detector, DetectorConfig, EngineKind, ModuleReport};
+use lcm_detect::{CacheStatus, Detector, DetectorConfig, EngineKind, ModuleReport};
 use lcm_store::Store;
 
 use crate::conn::{Listener, Stream};
@@ -155,9 +155,6 @@ struct ServeMetrics {
     requests: lcm_obs::metrics::Counter,
     /// Analyze requests completed, indexed pht/stl/psf.
     analyses: [lcm_obs::metrics::Counter; 3],
-    /// Cumulative cache traffic (shared with `lcm-store`'s counters),
-    /// indexed hits/misses/bypassed.
-    cache: [lcm_obs::metrics::Counter; 3],
     queue_wait: lcm_obs::metrics::Histogram,
     frames: lcm_obs::metrics::Counter,
     batch_items: lcm_obs::metrics::Counter,
@@ -169,6 +166,11 @@ struct ServeMetrics {
 impl ServeMetrics {
     fn new() -> ServeMetrics {
         use lcm_obs::metrics::{global, latency_buckets, names};
+        // Cache traffic is counted by lcm-store; touching its counters
+        // registers them, so a fresh daemon exposes them at zero.
+        for status in [CacheStatus::Hit, CacheStatus::Miss, CacheStatus::Bypass] {
+            lcm_store::cache_traffic(status);
+        }
         let g = global();
         ServeMetrics {
             requests: g.counter(names::SERVE_REQUESTS, "Daemon connections accepted"),
@@ -184,17 +186,6 @@ impl ServeMetrics {
                 g.counter(
                     names::SERVE_ANALYSES_PSF,
                     "Analyze requests completed with the psf engine",
-                ),
-            ],
-            cache: [
-                g.counter(names::CACHE_HITS, "Function results served from the store"),
-                g.counter(
-                    names::CACHE_MISSES,
-                    "Function results analyzed and inserted into the store",
-                ),
-                g.counter(
-                    names::CACHE_BYPASS,
-                    "Function results that skipped the store (degraded/uncacheable)",
                 ),
             ],
             queue_wait: g.histogram(
@@ -1161,7 +1152,7 @@ fn memo_replay(shared: &Shared, engine: EngineKind, source: &str) -> Option<Arc<
         .counters
         .cache_hits
         .fetch_add(hits, Ordering::Relaxed);
-    shared.metrics.cache[0].add(hits);
+    lcm_store::cache_traffic(CacheStatus::Hit).add(hits);
     Some(line)
 }
 
@@ -1189,7 +1180,7 @@ fn memo_replay_batch(shared: &Shared, items: &[AnalyzeItem]) -> Option<Vec<Batch
         .counters
         .cache_hits
         .fetch_add(hits_total, Ordering::Relaxed);
-    shared.metrics.cache[0].add(hits_total);
+    lcm_store::cache_traffic(CacheStatus::Hit).add(hits_total);
     Some(outcomes)
 }
 
@@ -1256,18 +1247,14 @@ fn stats_members(shared: &Shared) -> Vec<(String, Json)> {
     members.push(("analyses_pht".into(), Json::Num(m.analyses[0].get() as f64)));
     members.push(("analyses_stl".into(), Json::Num(m.analyses[1].get() as f64)));
     members.push(("analyses_psf".into(), Json::Num(m.analyses[2].get() as f64)));
-    members.push((
-        "cache_traffic_hits".into(),
-        Json::Num(m.cache[0].get() as f64),
-    ));
-    members.push((
-        "cache_traffic_misses".into(),
-        Json::Num(m.cache[1].get() as f64),
-    ));
-    members.push((
-        "cache_traffic_bypassed".into(),
-        Json::Num(m.cache[2].get() as f64),
-    ));
+    for (key, status) in [
+        ("cache_traffic_hits", CacheStatus::Hit),
+        ("cache_traffic_misses", CacheStatus::Miss),
+        ("cache_traffic_bypassed", CacheStatus::Bypass),
+    ] {
+        let n = lcm_store::cache_traffic(status).get();
+        members.push((key.into(), Json::Num(n as f64)));
+    }
     // Enrichment (PR 7, protocol v2): same append-only discipline.
     members.push(("frames".into(), n(&c.frames)));
     members.push(("batches".into(), n(&c.batches)));

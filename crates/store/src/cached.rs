@@ -1,7 +1,12 @@
 //! Cache-aware analysis drivers: the store wired in front of the
 //! engines.
+//!
+//! This module owns the per-function cache rule: [`stamp_hit`] and
+//! [`settle`] are its two halves and [`cache_traffic`] its counters.
+//! Everything that puts a store in front of Clou goes through them:
+//! the drivers below, the fleet supervisor and the fig8 harness.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use lcm_core::govern::AnalysisError;
 use lcm_detect::{CacheStatus, Detector, EngineKind, FunctionReport, ModuleReport};
@@ -9,7 +14,7 @@ use lcm_haunted::{HauntedConfig, HauntedEngine, HauntedModuleReport, HauntedRepo
 use lcm_ir::Module;
 
 use crate::fp::{bh_fingerprint, clou_fingerprint};
-use crate::Store;
+use crate::{Fingerprint, Store};
 
 /// How a batch of function analyses interacted with the cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,14 +54,48 @@ impl CacheCounts {
     }
 }
 
-/// Analyzes one function through the cache.
-///
-/// * **Hit** — the stored findings come back verbatim; `runtime` and the
-///   `cache` phase bucket are the lookup time; no engine runs.
-/// * **Miss** — the engine runs ([`Detector::analyze_function`]-style,
-///   governed, with `index` keying the fault plan); a *completed* result
-///   is inserted. Degraded results are never cached: their findings are
-///   a lower bound that would otherwise be served as truth forever.
+/// The hit half of the cache rule: stamps a report the store answered
+/// for. `runtime` and the `cache` phase bucket become the lookup time,
+/// `cache_hits` becomes 1, and `lcm_cache_hits_total` goes up by one.
+pub fn stamp_hit(hit: &mut FunctionReport, lookup: Duration) {
+    hit.cache = CacheStatus::Hit;
+    hit.runtime = lookup;
+    hit.timings.cache = lookup;
+    hit.timings.cache_hits = 1;
+    cache_traffic(CacheStatus::Hit).inc();
+}
+
+/// The miss half of the cache rule: labels and counts a freshly
+/// analyzed report. With a store, a completed report becomes `Miss` and
+/// is inserted under its fingerprint. A degraded one becomes `Bypass`
+/// and is never inserted: its findings are a lower bound that would
+/// otherwise be served as truth forever. A degraded report is counted
+/// unless its error is `WorkerPanic`, since a panicking in-process
+/// worker never returns a report to count. With no store the report
+/// becomes `Bypass` and is not counted.
+pub fn settle(report: &mut FunctionReport, store: Option<(&Store, Fingerprint)>) {
+    report.cache = CacheStatus::Bypass;
+    let Some((store, fp)) = store else {
+        return;
+    };
+    if report.status.is_completed() {
+        report.cache = CacheStatus::Miss;
+        store.insert_clou(fp, report);
+    } else if matches!(
+        report.status.error(),
+        Some(AnalysisError::WorkerPanic { .. })
+    ) {
+        return;
+    }
+    cache_traffic(report.cache).inc();
+}
+
+/// Analyzes one function through the cache: a hit is served by
+/// [`stamp_hit`] and runs no engine; a miss runs
+/// [`Detector::analyze_function`] and goes through [`settle`].
+/// Everything spent beyond the engine run (fingerprint, lookup,
+/// insertion) lands in the `cache` phase bucket, so the breakdown
+/// still sums to wall clock.
 pub fn cached_function_report(
     det: &Detector,
     module: &Module,
@@ -70,34 +109,23 @@ pub fn cached_function_report(
     let fp = clou_fingerprint(module, fname, det.config(), engine);
     if let Some(mut hit) = store.lookup_clou(fp) {
         sp.arg_str("cache", CacheStatus::Hit.label());
-        cache_traffic(CacheStatus::Hit).inc();
-        let elapsed = t0.elapsed();
-        hit.runtime = elapsed;
-        hit.timings.cache = elapsed;
-        hit.timings.cache_hits = 1;
+        stamp_hit(&mut hit, t0.elapsed());
         return hit;
     }
     drop(sp);
     let mut report = det.analyze_function(module, fname, engine);
-    if report.status.is_completed() {
-        report.cache = CacheStatus::Miss;
-        store.insert_clou(fp, &report);
-    } else {
-        report.cache = CacheStatus::Bypass;
-    }
-    cache_traffic(report.cache).inc();
-    // Everything this function spent beyond the engine run itself —
-    // fingerprinting, lookup, insertion — lands in the cache bucket so
-    // the breakdown still sums to wall clock.
+    settle(&mut report, Some((store, fp)));
     let wall = t0.elapsed();
     report.timings.cache = wall.saturating_sub(report.runtime);
     report.runtime = wall;
     report
 }
 
-/// The process-wide counter tracking one cache disposition
-/// (`lcm_cache_{hits,misses,bypass}_total`).
-fn cache_traffic(status: CacheStatus) -> &'static lcm_obs::metrics::Counter {
+/// The process-wide counter of one cache disposition
+/// (`lcm_cache_{hits,misses,bypass}_total`). [`stamp_hit`] and
+/// [`settle`] count through it; the daemon's memo replays credit their
+/// hits to it and its `stats` reply reads it.
+pub fn cache_traffic(status: CacheStatus) -> &'static lcm_obs::metrics::Counter {
     use lcm_obs::metrics::{global, names, Counter};
     use std::sync::OnceLock;
     static HANDLES: OnceLock<[Counter; 3]> = OnceLock::new();
@@ -181,16 +209,7 @@ pub fn analyze_module_bh_cached(
             }
             Err(message) => {
                 counts.bypassed += 1;
-                HauntedReport {
-                    name: name.to_string(),
-                    leaks: Vec::new(),
-                    paths_explored: 0,
-                    exhausted: false,
-                    runtime: std::time::Duration::ZERO,
-                    t_execute: std::time::Duration::ZERO,
-                    t_witness: std::time::Duration::ZERO,
-                    degraded: Some(format!("worker panic: {message}")),
-                }
+                lcm_haunted::degraded_report(name, format!("worker panic: {message}"))
             }
         })
         .collect();

@@ -51,7 +51,8 @@ impl W {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
     }
-    fn opt_u64(&mut self, v: Option<u64>) {
+    /// An optional `u64`: a presence byte, then the value if present.
+    pub fn opt_u64(&mut self, v: Option<u64>) {
         match v {
             None => self.u8(0),
             Some(v) => {
@@ -110,7 +111,8 @@ impl<'a> R<'a> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| Corrupt)
     }
-    fn opt_u64(&mut self) -> Result<Option<u64>, Corrupt> {
+    /// Inverse of [`W::opt_u64`].
+    pub fn opt_u64(&mut self) -> Result<Option<u64>, Corrupt> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.u64()?)),
@@ -127,7 +129,8 @@ impl<'a> R<'a> {
     }
 }
 
-fn class_code(c: TransmitterClass) -> u8 {
+/// The wire and disk tag of a transmitter class.
+pub fn class_code(c: TransmitterClass) -> u8 {
     match c {
         TransmitterClass::Address => 0,
         TransmitterClass::Control => 1,
@@ -137,7 +140,8 @@ fn class_code(c: TransmitterClass) -> u8 {
     }
 }
 
-fn class_of(code: u8) -> Result<TransmitterClass, Corrupt> {
+/// Inverse of [`class_code`].
+pub fn class_of(code: u8) -> Result<TransmitterClass, Corrupt> {
     Ok(match code {
         0 => TransmitterClass::Address,
         1 => TransmitterClass::Control,
@@ -242,6 +246,30 @@ pub fn decode_finding(r: &mut R) -> Result<Finding, Corrupt> {
     })
 }
 
+/// Serializes a findings list: a `u32` count, then each finding.
+pub fn encode_findings(w: &mut W, findings: &[Finding]) {
+    w.u32(findings.len() as u32);
+    for f in findings {
+        encode_finding(w, f);
+    }
+}
+
+/// Deserializes a findings list (inverse of [`encode_findings`]).
+pub fn decode_findings(r: &mut R) -> Result<Vec<Finding>, Corrupt> {
+    let n = r.u32()? as usize;
+    // Every finding takes more than one byte, so a count beyond the
+    // buffer is corrupt; refusing it here keeps a corrupt prefix from
+    // driving a huge allocation.
+    if n > r.buf.len() {
+        return Err(Corrupt);
+    }
+    let mut findings = Vec::with_capacity(n);
+    for _ in 0..n {
+        findings.push(decode_finding(r)?);
+    }
+    Ok(findings)
+}
+
 /// Serializes a completed [`FunctionReport`]. Timing fields are not
 /// stored — a cache hit's `runtime` is the (tiny) time spent serving it,
 /// which callers fill in.
@@ -250,10 +278,7 @@ pub fn encode_clou(report: &FunctionReport) -> Vec<u8> {
     let mut w = W::new();
     w.str(&report.name);
     w.u64(report.saeg_size as u64);
-    w.u32(report.transmitters.len() as u32);
-    for f in &report.transmitters {
-        encode_finding(&mut w, f);
-    }
+    encode_findings(&mut w, &report.transmitters);
     w.0
 }
 
@@ -263,14 +288,7 @@ pub fn decode_clou(payload: &[u8]) -> Result<FunctionReport, Corrupt> {
     let mut r = R::new(payload);
     let name = r.str()?;
     let saeg_size = r.u64()? as usize;
-    let n = r.u32()? as usize;
-    if n > payload.len() {
-        return Err(Corrupt);
-    }
-    let mut transmitters = Vec::with_capacity(n);
-    for _ in 0..n {
-        transmitters.push(decode_finding(&mut r)?);
-    }
+    let transmitters = decode_findings(&mut r)?;
     r.finish()?;
     Ok(FunctionReport {
         name,

@@ -130,7 +130,6 @@ pub fn clou_fingerprint(
     });
     h.update_u64(config.gep_filter as u64);
     h.update_u64(config.universal_needs_transient_access as u64);
-    h.update_u64(config.secret_filter as u64);
     h.update_u64(config.detect_interference as u64);
     h.update(&canon::encode_function_deps(module, fname));
     h.finish()
@@ -204,9 +203,6 @@ mod tests {
         let a = clou_fingerprint(&m, "victim", &base, EngineKind::Pht);
         let mut cfg = base.clone();
         cfg.window = 64;
-        assert_ne!(a, clou_fingerprint(&m, "victim", &cfg, EngineKind::Pht));
-        let mut cfg = base.clone();
-        cfg.secret_filter = true;
         assert_ne!(a, clou_fingerprint(&m, "victim", &cfg, EngineKind::Pht));
         let mut cfg = base.clone();
         cfg.spec.rob_size = 64;

@@ -1,8 +1,8 @@
 //! `lcm-store`: a persistent, content-addressed cache of per-function
 //! analysis results.
 //!
-//! Clou's per-function analysis is expensive (SAT-backed chain
-//! enumeration) but *pure*: the findings are a function of the IR, the
+//! Clou's per-function analysis is expensive (S-AEG construction and
+//! chain enumeration) but *pure*: the findings are a function of the IR, the
 //! engine, and the configuration knobs that shape findings. This crate
 //! exploits that purity. Each completed [`FunctionReport`] (and each
 //! completed baseline [`HauntedReport`]) is keyed by a structural
@@ -38,7 +38,8 @@ use lcm_detect::FunctionReport;
 use lcm_haunted::HauntedReport;
 
 pub use cached::{
-    analyze_module_bh_cached, analyze_module_cached, cached_function_report, CacheCounts,
+    analyze_module_bh_cached, analyze_module_cached, cache_traffic, cached_function_report, settle,
+    stamp_hit, CacheCounts,
 };
 pub use fp::{bh_fingerprint, clou_fingerprint, Fingerprint};
 pub use log::STORE_VERSION;
@@ -157,7 +158,7 @@ impl Store {
     }
 
     /// Caches a completed Clou report. Degraded reports are rejected by
-    /// the caller ([`cached_function_report`]), not here, because this
+    /// the caller ([`settle`]), not here, because this
     /// layer cannot distinguish "legitimately empty" from "cut short".
     pub fn insert_clou(&self, fp: Fingerprint, report: &FunctionReport) {
         self.insert(RecordKind::Clou, fp, codec::encode_clou(report));

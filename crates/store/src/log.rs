@@ -3,7 +3,7 @@
 //! File layout:
 //!
 //! ```text
-//! {"magic": "lcm-store", "version": 1, "canon": 1}\n   // JSON header line
+//! {"magic": "lcm-store", "version": 2, "canon": 1}\n   // JSON header line
 //! [record]*                                           // binary records
 //! ```
 //!
@@ -39,8 +39,10 @@ use crate::fp::{fnv64, Fingerprint};
 const RECORD_MAGIC: u32 = 0x4C434D52;
 /// Header magic string.
 const HEADER_MAGIC: &str = "lcm-store";
-/// On-disk format version.
-pub const STORE_VERSION: u64 = 1;
+/// On-disk format version. Bumped whenever a fingerprint's input
+/// changes, so records keyed the old way reset on open. Version 2
+/// dropped the secrecy-filter word from Clou fingerprints.
+pub const STORE_VERSION: u64 = 2;
 /// Refuse absurd payloads (a corrupt length prefix must not drive a
 /// multi-gigabyte allocation).
 const MAX_PAYLOAD: u32 = 64 << 20;

@@ -95,32 +95,6 @@ fn model_comparison_orders_hardware_by_leakiness() {
 }
 
 #[test]
-fn secret_filter_composes_with_engines() {
-    let src = r#"
-        int sec_tab[16]; int pub_tab[16]; int B[4096]; int size; int tmp;
-        void mixed(int x) {
-            if (x < size) {
-                tmp &= B[sec_tab[x] * 16];
-                tmp &= B[pub_tab[x] * 16];
-            }
-        }"#;
-    let m = lcm::minic::compile(src).unwrap();
-    let all = Detector::new(DetectorConfig::default()).analyze_module(&m, EngineKind::Pht);
-    let filtered = Detector::new(DetectorConfig {
-        secret_filter: true,
-        ..DetectorConfig::default()
-    })
-    .analyze_module(&m, EngineKind::Pht);
-    let count = |r: &lcm::detect::ModuleReport| {
-        r.findings()
-            .filter(|f| f.class == TransmitterClass::UniversalData)
-            .count()
-    };
-    assert!(count(&filtered) >= 1, "secret chain survives");
-    assert!(count(&filtered) < count(&all), "public chain filtered out");
-}
-
-#[test]
 fn litmus_text_format_drives_cat_models() {
     let sb = Litmus::parse("W x; R y || W y; R x").unwrap();
     let tso = CatModel::parse("TSO", presets::TSO).unwrap();
