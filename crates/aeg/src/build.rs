@@ -10,6 +10,7 @@ use lcm_ir::{BlockId, Function, Inst, InstId, Module, Terminator, Ty};
 use lcm_relalg::Relation;
 
 use crate::addr::{feeding_loads, symbolic_addr, SymAddr};
+use crate::deps::{ctrl_edges, generalized_addr, Gaddr};
 
 /// Index of a memory event within one [`Saeg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -92,6 +93,10 @@ pub struct Saeg {
     /// Where the fences are, for [`Saeg::always_fenced_between`]; built
     /// on its first query, so S-AEG users that never ask do not pay.
     fences: OnceLock<FenceTable>,
+    /// [`Saeg::gaddr`] and [`Saeg::ctrl`], built on first use and then
+    /// shared by every engine run over this S-AEG.
+    gaddr: OnceLock<Gaddr>,
+    ctrl: OnceLock<Relation>,
 }
 
 /// Fence positions of one S-AEG, answering
@@ -309,6 +314,8 @@ impl Saeg {
             topo,
             block_reach,
             fences: OnceLock::new(),
+            gaddr: OnceLock::new(),
+            ctrl: OnceLock::new(),
         }
     }
 
@@ -330,6 +337,19 @@ impl Saeg {
     /// The block-reachability closure behind [`Self::block_reaches`].
     pub(crate) fn block_closure(&self) -> &Relation {
         &self.block_reach
+    }
+
+    /// The generalized address dependencies, `(data.rf)*; addr`
+    /// ([`generalized_addr`]). The closure is the costliest relation of
+    /// an engine run, so it is built once per S-AEG, on first use.
+    pub fn gaddr(&self) -> &Gaddr {
+        self.gaddr.get_or_init(|| generalized_addr(self))
+    }
+
+    /// The `ctrl` dependencies ([`ctrl_edges`]), built once per S-AEG,
+    /// on first use.
+    pub fn ctrl(&self) -> &Relation {
+        self.ctrl.get_or_init(|| ctrl_edges(self))
     }
 
     /// Deterministically expands a witness seed — blocks that must

@@ -118,11 +118,10 @@ fn parse_opts(args: &mut cli::BenchArgs) -> Opts {
         Some("mixed") => Mix::Mixed,
         Some(m) => die(&format!("--mix expects warm|cold|mixed, got {m:?}")),
     };
-    let engine = match args.take_value("--engine").as_deref() {
-        None | Some("pht") => EngineKind::Pht,
-        Some("stl") => EngineKind::Stl,
-        Some("psf") => EngineKind::Psf,
-        Some(e) => die(&format!("--engine expects pht|stl|psf, got {e:?}")),
+    let engine = match args.take_value("--engine") {
+        None => EngineKind::Pht,
+        Some(e) => EngineKind::parse(&e)
+            .unwrap_or_else(|| die(&format!("--engine expects pht|stl|psf, got {e:?}"))),
     };
     Opts {
         mode,

@@ -136,13 +136,7 @@ fn run_clou(
         budgets,
         ..DetectorConfig::default()
     });
-    let report = match (fleet, store) {
-        // Process-level parallelism: the fleet ships `source` to its
-        // workers and applies the identical cache discipline itself.
-        (Some(fleet), store) => fleet.analyze_module(source, module, engine, det.config(), store),
-        (None, Some(store)) => lcm_store::analyze_module_cached(&det, module, engine, store),
-        (None, None) => det.analyze_module(module, engine),
-    };
+    let report = lcm_fleet::analyze_module(fleet, store, &det, source, module, engine);
     let cache = CacheCounts::of(&report);
     let degraded = report
         .degraded()

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lcm_aeg::addr::{alias, AliasResult};
-use lcm_aeg::deps::{ctrl_edges, generalized_addr, Gaddr};
+use lcm_aeg::deps::Gaddr;
 use lcm_aeg::taint::attacker_controlled;
 use lcm_aeg::{BranchInfo, EventId, EventKind, FeasStats, Feasibility, Saeg};
 use lcm_core::fault::{site, FaultPlan};
@@ -42,24 +42,38 @@ use crate::report::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Control-flow speculation: Spectre v1 / v1.1.
-    Pht,
+    Pht = 0,
     /// Store-to-load forwarding: Spectre v4.
-    Stl,
+    Stl = 1,
     /// **Extension** (beyond Clou's two engines): predictive store
     /// forwarding / alias prediction — a load may forward from an older
     /// store to a *mismatching* address (Spectre-PSF, §3.3 / Fig. 4b).
-    Psf,
+    Psf = 2,
 }
 
 impl EngineKind {
+    /// Every engine, in code order: an engine's position here is its
+    /// [`Self::code`].
+    pub const ALL: [EngineKind; 3] = [EngineKind::Pht, EngineKind::Stl, EngineKind::Psf];
+
     /// Stable lower-case name (`pht` / `stl` / `psf`) shared by the
-    /// wire protocol, trace span args, and metric names.
+    /// wire protocol, command-line flags, trace span args, and metric
+    /// names.
     pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Pht => "pht",
-            EngineKind::Stl => "stl",
-            EngineKind::Psf => "psf",
-        }
+        ["pht", "stl", "psf"][self.code()]
+    }
+
+    /// The engine's stable numeric code, its position in [`Self::ALL`]:
+    /// the engine word of a store fingerprint, the engine byte of a
+    /// fleet task frame, and the index of per-engine counters and memo
+    /// slots.
+    pub fn code(self) -> usize {
+        self as usize
+    }
+
+    /// The engine whose [`Self::label`] is `name`.
+    pub fn parse(name: &str) -> Option<EngineKind> {
+        Self::ALL.into_iter().find(|e| e.label() == name)
     }
 }
 
@@ -265,24 +279,42 @@ impl Detector {
     /// panics its worker comes back `Degraded` with a typed
     /// [`AnalysisError`]; the other functions are unaffected.
     pub fn analyze_module(&self, module: &Module, engine: EngineKind) -> ModuleReport {
+        let all: Vec<usize> = (0..module.public_functions().count()).collect();
+        ModuleReport {
+            functions: self.analyze_functions(module, engine, &all),
+        }
+    }
+
+    /// [`Self::analyze_module`] restricted to the public functions at
+    /// `indices` (positions in module order), one report per index in
+    /// the order given. Fault sites stay keyed by each function's
+    /// module index, so a subset run degrades exactly the functions a
+    /// whole-module run would. A function that panics its worker
+    /// comes back `Degraded` with [`AnalysisError::WorkerPanic`].
+    pub fn analyze_functions(
+        &self,
+        module: &Module,
+        engine: EngineKind,
+        indices: &[usize],
+    ) -> Vec<FunctionReport> {
         let names: Vec<&str> = module.public_functions().map(|f| f.name.as_str()).collect();
         let faults = self.config.faults.merged_with_env();
-        let results = lcm_core::par::map_indexed_catch(&names, self.config.jobs, |i, name| {
-            let [report] = self.analyze_engines(module, name, [engine], i, &faults);
+        let results = lcm_core::par::map_indexed_catch(indices, self.config.jobs, |_, &i| {
+            let [report] = self.analyze_engines(module, names[i], [engine], i, &faults);
             report
         });
-        let functions = results
+        results
             .into_iter()
-            .zip(&names)
-            .map(|(res, name)| match res {
-                Ok(report) => report,
-                Err(message) => FunctionReport::degraded(
-                    name.to_string(),
-                    AnalysisError::WorkerPanic { message },
-                ),
+            .zip(indices)
+            .map(|(res, &i)| {
+                res.unwrap_or_else(|message| {
+                    FunctionReport::degraded(
+                        names[i].to_string(),
+                        AnalysisError::WorkerPanic { message },
+                    )
+                })
             })
-            .collect();
-        ModuleReport { functions }
+            .collect()
     }
 
     /// Analyzes a single function on the calling thread (`jobs` is not
@@ -483,8 +515,10 @@ struct EngineRun<'a> {
     kind: EngineKind,
     /// The speculation primitive every finding of this run names.
     primitive: SpeculationPrimitive,
-    gaddr: Gaddr,
-    ctrl: Relation,
+    /// The S-AEG's `(data.rf)*; addr` and `ctrl` relations, built once
+    /// per S-AEG and shared by every engine run over it.
+    gaddr: &'a Gaddr,
+    ctrl: &'a Relation,
     /// Empty except for PHT, the one engine that walks dependencies
     /// backwards.
     preds: DepPreds,
@@ -548,8 +582,7 @@ struct Scratch {
 
 impl<'a> EngineRun<'a> {
     fn new(config: &'a DetectorConfig, saeg: &'a Saeg, kind: EngineKind) -> Self {
-        let gaddr = generalized_addr(saeg);
-        let ctrl = ctrl_edges(saeg);
+        let (gaddr, ctrl) = (saeg.gaddr(), saeg.ctrl());
         EngineRun {
             config,
             saeg,
@@ -560,7 +593,7 @@ impl<'a> EngineRun<'a> {
                 EngineKind::Psf => SpeculationPrimitive::AliasPrediction,
             },
             preds: if kind == EngineKind::Pht {
-                DepPreds::build(&gaddr, &ctrl)
+                DepPreds::build(gaddr, ctrl)
             } else {
                 DepPreds::default()
             },

@@ -45,3 +45,28 @@ pub mod worker;
 
 pub use supervisor::{Fleet, FleetConfig, SlotHealth};
 pub use worker::{maybe_run_worker, worker_main, WORKER_ENV};
+
+use lcm_detect::{Detector, EngineKind, ModuleReport};
+use lcm_ir::Module;
+use lcm_store::Store;
+
+/// Analyzes `module` (compiled from `source`) on whichever executor the
+/// caller holds: the fleet's worker processes when there is a fleet,
+/// `det`'s thread fan-out otherwise, either one behind the store when
+/// there is one. With neither, it is plain [`Detector::analyze_module`],
+/// which fingerprints nothing. Rendered reports are byte-identical on
+/// every path.
+pub fn analyze_module(
+    fleet: Option<&Fleet>,
+    store: Option<&Store>,
+    det: &Detector,
+    source: &str,
+    module: &Module,
+    engine: EngineKind,
+) -> ModuleReport {
+    match (fleet, store) {
+        (Some(fleet), store) => fleet.analyze_module(source, module, engine, det.config(), store),
+        (None, Some(store)) => lcm_store::analyze_module_cached(det, module, engine, store),
+        (None, None) => det.analyze_module(module, engine),
+    }
+}

@@ -176,23 +176,6 @@ pub enum FromWorker {
     Drain(Telemetry),
 }
 
-fn engine_code(e: EngineKind) -> u8 {
-    match e {
-        EngineKind::Pht => 0,
-        EngineKind::Stl => 1,
-        EngineKind::Psf => 2,
-    }
-}
-
-fn engine_of(code: u8) -> Result<EngineKind, Corrupt> {
-    Ok(match code {
-        0 => EngineKind::Pht,
-        1 => EngineKind::Stl,
-        2 => EngineKind::Psf,
-        _ => return Err(Corrupt),
-    })
-}
-
 fn encode_config(w: &mut W, c: &DetectorConfig) {
     w.u64(c.spec.rob_size as u64);
     w.u64(c.spec.lsq_size as u64);
@@ -548,7 +531,7 @@ impl ToWorker {
                 w.u64(t.module_id);
                 w.u64(t.fn_index);
                 w.str(&t.fn_name);
-                w.u8(engine_code(t.engine));
+                w.u8(t.engine.code() as u8);
                 encode_config(&mut w, &t.config);
                 w.bool(t.trace);
                 w.u64(t.worker_slot);
@@ -572,7 +555,7 @@ impl ToWorker {
                 module_id: r.u64()?,
                 fn_index: r.u64()?,
                 fn_name: r.str()?,
-                engine: engine_of(r.u8()?)?,
+                engine: *EngineKind::ALL.get(r.u8()? as usize).ok_or(Corrupt)?,
                 config: decode_config(&mut r)?,
                 trace: r.bool()?,
                 worker_slot: r.u64()?,

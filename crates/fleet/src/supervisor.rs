@@ -1,10 +1,13 @@
 //! The supervisor: spawns, shards, watches, restarts, and reaps.
 //!
 //! One [`Fleet`] owns a pool of worker child processes. A module run
-//! ([`Fleet::analyze_module`]) shards the module's cache-missing
-//! functions across the pool by their content fingerprint (the same
-//! [`lcm_store::fp::clou_fingerprint`] that keys the result store), so
-//! the same function lands on the same worker slot run after run.
+//! ([`Fleet::analyze_module`]) is lcm-store's [`lcm_store::drive_module`]
+//! with the supervisor as executor: `drive_module` looks every function
+//! up and settles the results, and the supervisor shards the
+//! cache-missing functions across the pool by the content fingerprint
+//! `drive_module` computed (the same [`lcm_store::fp::clou_fingerprint`] that keys the
+//! result store), so the same function lands on the same worker slot
+//! run after run.
 //! Idle workers steal from the longest remaining queue, so one straggler
 //! function never serializes the tail.
 //!
@@ -21,7 +24,7 @@
 //! Every detection kills the incarnation and restarts the slot after
 //! the shared deterministic [`lcm_core::backoff_delay`] schedule; the
 //! orphaned task is redistributed to survivors. The circuit breakers:
-//! a task that kills its worker [`FleetConfig::max_task_attempts`]
+//! a task that kills its worker [`MAX_TASK_ATTEMPTS`]
 //! times is reported `Degraded` (partial result kept as a lower bound,
 //! never cached) instead of being retried forever, and a slot restarted
 //! past [`FleetConfig::max_worker_restarts`] *within one module run* is
@@ -51,7 +54,7 @@ use lcm_core::jsonw::Json;
 use lcm_detect::{DetectorConfig, EngineKind, FunctionReport, ModuleReport};
 use lcm_ir::Module;
 use lcm_obs::trace;
-use lcm_store::{clou_fingerprint, Store};
+use lcm_store::{Fingerprint, Store};
 
 use crate::proto::{self, Crumb, FromWorker, Task, Telemetry, ToWorker};
 use crate::worker::WORKER_ENV;
@@ -62,6 +65,10 @@ const FLEET_SITES: &[&str] = &[
     site::FLEET_WORKER_HANG,
     site::FLEET_TASK_TORN,
 ];
+
+/// How many workers one task may kill before it is reported `Degraded`
+/// instead of redelivered (the per-function circuit breaker).
+pub const MAX_TASK_ATTEMPTS: usize = 2;
 
 /// Supervision knobs. `new(workers)` gives production defaults; tests
 /// shrink the time knobs to keep fault campaigns fast.
@@ -80,10 +87,6 @@ pub struct FleetConfig {
     /// How long a *busy* worker may go without a heartbeat before it is
     /// declared stuck and killed.
     pub heartbeat_grace: Duration,
-    /// How many workers one task may kill before it is reported
-    /// `Degraded` instead of redelivered (the per-function circuit
-    /// breaker).
-    pub max_task_attempts: usize,
     /// How many times one slot may be restarted within one module run
     /// before it is retired for that run (the per-slot circuit breaker;
     /// all slots retired ends the run). The budget resets every run.
@@ -115,7 +118,6 @@ impl FleetConfig {
             worker_cmd: vec![exe],
             task_deadline: Duration::from_secs(600),
             heartbeat_grace: Duration::from_secs(10),
-            max_task_attempts: 2,
             max_worker_restarts: 8,
             refire_faults_on_retry: false,
             events_out: None,
@@ -308,14 +310,19 @@ impl std::fmt::Debug for Fleet {
     }
 }
 
-/// One function's lifecycle through a module run.
+/// One cache-missing function's lifecycle through a module run.
 struct TaskState {
     fn_index: usize,
     name: String,
+    /// The content fingerprint `drive_module` computed: shards the task and
+    /// names it in task frames, event logs and forensics.
+    fp: u128,
     /// Dispatches so far (first attempt = 0 when dispatched).
     attempts: usize,
     /// Times a worker died (crash/hang/stuck/torn) holding this task.
     lost: usize,
+    /// The task's report once it is done or degraded.
+    report: Option<FunctionReport>,
 }
 
 impl Fleet {
@@ -370,14 +377,12 @@ impl Fleet {
     }
 
     /// Analyzes `module` (compiled from `source`) across the worker
-    /// pool under lcm-store's cache rule: hits are served
-    /// supervisor-side through [`lcm_store::stamp_hit`] and never reach
-    /// a worker, and every worker result goes through
-    /// [`lcm_store::settle`] (completed results inserted as misses,
-    /// degraded ones kept as a lower bound but never cached).
-    /// Functions come back in module order — rendered output is
+    /// pool under lcm-store's cache rule: [`lcm_store::drive_module`]
+    /// serves the hits in this process, and only the misses reach a
+    /// worker. Functions come back in module order — rendered output is
     /// byte-identical to `analyze_module_cached` /
-    /// `Detector::analyze_module` at every worker count.
+    /// `Detector::analyze_module` at every worker count. The fleet's
+    /// lock covers supervision only, not the lookups.
     pub fn analyze_module(
         &self,
         source: &str,
@@ -386,8 +391,10 @@ impl Fleet {
         config: &DetectorConfig,
         store: Option<&Store>,
     ) -> ModuleReport {
-        let mut inner = self.inner.lock().unwrap();
-        inner.run_module(source, module, engine, config, store)
+        lcm_store::drive_module(module, engine, config, store, |indices, fps| {
+            let mut inner = self.inner.lock().unwrap();
+            inner.run_misses(source, module, engine, config, indices, fps)
+        })
     }
 
     /// Closes every worker's stdin (they exit on EOF) and reaps the
@@ -407,101 +414,64 @@ impl Drop for Fleet {
 }
 
 impl Inner {
-    fn run_module(
+    /// Runs the misses of one module (their module indices and
+    /// fingerprints) on the pool: one report per miss, in order.
+    fn run_misses(
         &mut self,
         source: &str,
         module: &Module,
         engine: EngineKind,
         config: &DetectorConfig,
-        store: Option<&Store>,
-    ) -> ModuleReport {
-        let names: Vec<String> = module.public_functions().map(|f| f.name.clone()).collect();
-        let n = names.len();
-        let mut done: Vec<Option<FunctionReport>> = (0..n).map(|_| None).collect();
+        indices: &[usize],
+        fps: &[Fingerprint],
+    ) -> Vec<FunctionReport> {
+        let names: Vec<&str> = module.public_functions().map(|f| f.name.as_str()).collect();
+        let mut tasks: Vec<TaskState> = indices
+            .iter()
+            .zip(fps)
+            .map(|(&i, fp)| TaskState {
+                fn_index: i,
+                name: names[i].to_string(),
+                fp: fp.0,
+                attempts: 0,
+                lost: 0,
+                report: None,
+            })
+            .collect();
         let faults = config.faults.merged_with_env();
         // The supervisor's own lane in a merged trace: one span over
         // the whole fleet run, bracketing every worker's task spans.
         let mut run_span = trace::span("fleet_module", "fleet");
         if trace::is_enabled() {
             run_span.arg_str("engine", engine.label());
-            run_span.arg_u64("functions", n as u64);
+            run_span.arg_u64("functions", tasks.len() as u64);
             run_span.arg_u64("workers", self.slots.len() as u64);
         }
-
-        // Cache pre-pass: hits never reach a worker.
-        let fps: Vec<_> = names
-            .iter()
-            .map(|name| clou_fingerprint(module, name, config, engine))
-            .collect();
-        let mut pending: Vec<TaskState> = Vec::new();
-        for (i, name) in names.iter().enumerate() {
-            if let Some(store) = store {
-                let t0 = Instant::now();
-                if let Some(mut hit) = store.lookup_clou(fps[i]) {
-                    lcm_store::stamp_hit(&mut hit, t0.elapsed());
-                    done[i] = Some(hit);
-                    continue;
-                }
-            }
-            pending.push(TaskState {
-                fn_index: i,
-                name: name.clone(),
-                attempts: 0,
-                lost: 0,
-            });
+        // The restart/retire budget is scoped to one module run: a
+        // long-lived fleet (a daemon) must not permanently retire its
+        // slots over crashes accumulated across thousands of earlier
+        // modules. Within a run the budget still bounds a restart storm.
+        for slot in &mut self.slots {
+            slot.restarts = 0;
+            slot.consecutive_failures = 0;
+            slot.retired = false;
+            slot.restart_at = None;
         }
-
-        if !pending.is_empty() {
-            // The restart/retire budget is scoped to one module run: a
-            // long-lived fleet (a daemon) must not permanently retire
-            // its slots over crashes accumulated across thousands of
-            // earlier modules. Within a run the budget still bounds a
-            // restart storm.
-            for slot in &mut self.slots {
-                slot.restarts = 0;
-                slot.consecutive_failures = 0;
-                slot.retired = false;
-                slot.restart_at = None;
-            }
-            let module_id = self.next_module;
-            self.next_module += 1;
-            self.drain_stale_events();
-            self.supervise(
-                source,
-                module_id,
-                engine,
-                config,
-                &faults,
-                &mut pending,
-                &fps,
-                store,
-                &mut done,
-            );
-        }
-
-        ModuleReport {
-            functions: done
-                .into_iter()
-                .zip(names)
-                .map(|(r, name)| {
-                    r.unwrap_or_else(|| {
-                        // Unreachable by construction (every pending task
-                        // ends done or degraded), but never panic a run.
-                        FunctionReport::degraded(
-                            name,
-                            AnalysisError::WorkerPanic {
-                                message: "fleet: task lost by supervisor".into(),
-                            },
-                        )
-                    })
-                })
-                .collect(),
-        }
+        let module_id = self.next_module;
+        self.next_module += 1;
+        self.drain_stale_events();
+        self.supervise(source, module_id, engine, config, &faults, &mut tasks);
+        tasks
+            .into_iter()
+            .map(|t| {
+                t.report
+                    .expect("supervision ends when every task has a report")
+            })
+            .collect()
     }
 
-    /// The supervision loop for one module's pending (cache-missing)
-    /// functions.
-    #[allow(clippy::too_many_arguments)]
+    /// The supervision loop for one module's cache-missing functions:
+    /// runs until every task has a report.
     fn supervise(
         &mut self,
         source: &str,
@@ -509,56 +479,33 @@ impl Inner {
         engine: EngineKind,
         config: &DetectorConfig,
         faults: &FaultPlan,
-        pending: &mut [TaskState],
-        fps: &[lcm_store::Fingerprint],
-        store: Option<&Store>,
-        done: &mut [Option<FunctionReport>],
+        tasks: &mut [TaskState],
     ) {
         let workers = self.slots.len();
         // Shard by content fingerprint: the same function lands on the
         // same slot run after run (and across processes).
         let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (t, task) in pending.iter().enumerate() {
-            let slot = (fps[task.fn_index].0 % workers as u128) as usize;
-            queues[slot].push_back(t);
+        for (t, task) in tasks.iter().enumerate() {
+            queues[(task.fp % workers as u128) as usize].push_back(t);
         }
-        let mut remaining = pending.len();
 
-        while remaining > 0 {
+        while tasks.iter().any(|t| t.report.is_none()) {
             self.respawn_due();
             if self.slots.iter().all(|s| s.retired) {
                 // Restart storm: the whole pool burned through its
-                // restart budget. Degrade everything still pending —
-                // a deterministic lower-bound report, never a spin.
-                for q in &mut queues {
-                    while let Some(t) = q.pop_front() {
-                        let name = pending[t].name.clone();
-                        done[pending[t].fn_index] = Some(degraded_pool_exhausted(&name));
-                        self.log_event(
-                            "degraded",
-                            vec![
-                                ("fn".to_string(), Json::Str(name)),
-                                ("cause".to_string(), Json::Str("pool_exhausted".to_string())),
-                            ],
-                        );
-                    }
+                // restart budget. Degrade every task still without a
+                // report, queued or in flight, in module order — a
+                // deterministic lower-bound report, never a spin.
+                queues.iter_mut().for_each(VecDeque::clear);
+                self.slots.iter_mut().for_each(|s| s.busy = None);
+                for task in tasks.iter_mut().filter(|t| t.report.is_none()) {
+                    task.report = Some(degraded_pool_exhausted(&task.name));
+                    let fields = vec![
+                        ("fn".to_string(), Json::Str(task.name.clone())),
+                        ("cause".to_string(), Json::Str("pool_exhausted".to_string())),
+                    ];
+                    self.log_event("degraded", fields);
                 }
-                for i in 0..self.slots.len() {
-                    if let Some((t, _)) = self.slots[i].busy.take() {
-                        let name = pending[t].name.clone();
-                        done[pending[t].fn_index] = Some(degraded_pool_exhausted(&name));
-                        self.log_event(
-                            "degraded",
-                            vec![
-                                ("fn".to_string(), Json::Str(name)),
-                                ("cause".to_string(), Json::Str("pool_exhausted".to_string())),
-                            ],
-                        );
-                    }
-                }
-                // Every undone task was queued or in flight, so the run
-                // is over (the loop condition sees zero).
-                remaining = 0;
                 continue;
             }
 
@@ -568,8 +515,7 @@ impl Inner {
                 engine,
                 config,
                 faults,
-                pending,
-                fps,
+                tasks,
                 &mut queues,
             );
 
@@ -600,37 +546,18 @@ impl Inner {
                             if res.task_id != t as u64 {
                                 // Protocol confusion: kill and redeliver.
                                 self.slots[slot].busy = Some((t, Instant::now()));
-                                self.fail_slot(
-                                    slot,
-                                    "protocol",
-                                    pending,
-                                    fps,
-                                    &mut queues,
-                                    done,
-                                    &mut remaining,
-                                );
+                                self.fail_slot(slot, "protocol", tasks, &mut queues);
                                 continue;
                             }
                             self.slots[slot].consecutive_failures = 0;
                             self.slots[slot].health.tasks += 1;
-                            let i = pending[t].fn_index;
-                            lcm_store::settle(&mut res.report, store.map(|s| (s, fps[i])));
-                            done[i] = Some(res.report);
-                            remaining -= 1;
+                            tasks[t].report = Some(res.report);
                         }
                         Event::Drain(telemetry) => {
                             self.absorb_telemetry(slot, telemetry);
                         }
                         Event::Gone { reason } => {
-                            self.fail_slot(
-                                slot,
-                                reason,
-                                pending,
-                                fps,
-                                &mut queues,
-                                done,
-                                &mut remaining,
-                            );
+                            self.fail_slot(slot, reason, tasks, &mut queues);
                         }
                     }
                 }
@@ -651,7 +578,7 @@ impl Inner {
                 let beat_stale = slot.last_beat.elapsed() > self.config.heartbeat_grace;
                 if deadline_blown || beat_stale {
                     let reason = if deadline_blown { "deadline" } else { "stuck" };
-                    self.fail_slot(i, reason, pending, fps, &mut queues, done, &mut remaining);
+                    self.fail_slot(i, reason, tasks, &mut queues);
                 }
             }
         }
@@ -761,8 +688,7 @@ impl Inner {
         engine: EngineKind,
         config: &DetectorConfig,
         faults: &FaultPlan,
-        pending: &mut [TaskState],
-        fps: &[lcm_store::Fingerprint],
+        tasks: &mut [TaskState],
         queues: &mut [VecDeque<usize>],
     ) {
         let trace_workers = self.config.trace_workers.unwrap_or_else(trace::is_enabled);
@@ -783,7 +709,7 @@ impl Inner {
                     }
                 }
             };
-            let task = &mut pending[t];
+            let task = &mut tasks[t];
             let attempt = task.attempts;
             task.attempts += 1;
             // First delivery carries the armed plan; redeliveries strip
@@ -795,7 +721,7 @@ impl Inner {
             };
             let mut cfg = config.clone();
             cfg.faults = plan;
-            let fp = fps[task.fn_index].0;
+            let fp = task.fp;
             let fn_name = task.name.clone();
             let frame = ToWorker::Task(Task {
                 task_id: t as u64,
@@ -856,16 +782,12 @@ impl Inner {
     /// A worker incarnation died (or was declared dead) — emit the
     /// forensic record, redistribute its task, count the loss, restart
     /// with backoff or retire.
-    #[allow(clippy::too_many_arguments)]
     fn fail_slot(
         &mut self,
         i: usize,
         reason: &'static str,
-        pending: &mut [TaskState],
-        fps: &[lcm_store::Fingerprint],
+        tasks: &mut [TaskState],
         queues: &mut [VecDeque<usize>],
-        done: &mut [Option<FunctionReport>],
-        remaining: &mut usize,
     ) {
         // A clean EOF while a task was in flight is a crash; without
         // one it is just an exit (still fatal for the incarnation).
@@ -875,22 +797,18 @@ impl Inner {
             ("eof", None) => "exit",
             (r, _) => r,
         };
-        let last_task = busy.map(|(t, _)| {
-            let task = &pending[t];
-            (task.name.clone(), fps[task.fn_index].0)
-        });
+        let last_task = busy.map(|(t, _)| (tasks[t].name.clone(), tasks[t].fp));
         self.reap_incarnation(i, reason, last_task);
         if let Some((t, _)) = busy {
             self.slots[i].busy = None;
-            let task = &mut pending[t];
+            let task = &mut tasks[t];
             task.lost += 1;
-            if task.lost >= self.config.max_task_attempts {
+            if task.lost >= MAX_TASK_ATTEMPTS {
                 // Per-function circuit breaker: this function has now
                 // killed enough workers. Degrade deterministically.
-                done[task.fn_index] = Some(degraded_task_fatal(&task.name, task.lost));
-                *remaining -= 1;
-                let name = pending[t].name.clone();
-                let lost = pending[t].lost;
+                task.report = Some(degraded_task_fatal(&task.name, task.lost));
+                let name = task.name.clone();
+                let lost = task.lost;
                 self.log_event(
                     "degraded",
                     vec![
@@ -912,14 +830,14 @@ impl Inner {
                 queues[target].push_front(t);
                 self.slots[i].health.redeliveries += 1;
                 fleet_counter(Health::Redelivery).inc();
-                let name = pending[t].name.clone();
+                let name = tasks[t].name.clone();
                 self.log_event(
                     "redeliver",
                     vec![
                         ("fn".to_string(), Json::Str(name)),
                         ("from_slot".to_string(), Json::Num(i as f64)),
                         ("to_slot".to_string(), Json::Num(target as f64)),
-                        ("lost".to_string(), Json::Num(pending[t].lost as f64)),
+                        ("lost".to_string(), Json::Num(tasks[t].lost as f64)),
                     ],
                 );
             }

@@ -460,7 +460,7 @@ mod tests {
     #[test]
     fn analyze_request_round_trips_through_the_parser() {
         let line = analyze_request(Some("int x; void f() { x = 1; }"), None, EngineKind::Stl);
-        let parsed = crate::wire::parse_request(&line).unwrap();
+        let parsed = crate::wire::parse_frame(&line).map(|f| f.req).unwrap();
         assert_eq!(
             parsed,
             Request::Analyze {
@@ -471,7 +471,7 @@ mod tests {
         );
         let line = analyze_request(None, Some("/tmp/prog.c"), EngineKind::Pht);
         assert!(matches!(
-            crate::wire::parse_request(&line).unwrap(),
+            crate::wire::parse_frame(&line).map(|f| f.req).unwrap(),
             Request::Analyze {
                 source: None,
                 engine: EngineKind::Pht,

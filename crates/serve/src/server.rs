@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use lcm_core::fault::{site, FaultPlan};
 use lcm_core::jsonw::Json;
-use lcm_detect::{CacheStatus, Detector, DetectorConfig, EngineKind, ModuleReport};
+use lcm_detect::{CacheStatus, Detector, DetectorConfig, EngineKind};
 use lcm_store::Store;
 
 use crate::conn::{Listener, Stream};
@@ -153,7 +153,7 @@ pub struct Counters {
 /// enriched tail of `{"cmd":"stats"}`.
 struct ServeMetrics {
     requests: lcm_obs::metrics::Counter,
-    /// Analyze requests completed, indexed pht/stl/psf.
+    /// Analyze requests completed, indexed by [`EngineKind::code`].
     analyses: [lcm_obs::metrics::Counter; 3],
     queue_wait: lcm_obs::metrics::Histogram,
     frames: lcm_obs::metrics::Counter,
@@ -211,11 +211,7 @@ impl ServeMetrics {
     }
 
     fn analyses_for(&self, engine: EngineKind) -> &lcm_obs::metrics::Counter {
-        match engine {
-            EngineKind::Pht => &self.analyses[0],
-            EngineKind::Stl => &self.analyses[1],
-            EngineKind::Psf => &self.analyses[2],
-        }
+        &self.analyses[engine.code()]
     }
 }
 
@@ -290,7 +286,8 @@ struct Shared {
     /// daemon-vs-in-process byte-equality pin holds. Bounded by
     /// [`MEMO_CAP`]; counters advance on replay exactly as a re-run
     /// would advance them. Keyed by source text, one slot per engine,
-    /// so lookups borrow the incoming source instead of cloning it.
+    /// so lookups borrow the incoming source instead of cloning it; a
+    /// slot's index is its engine's [`EngineKind::code`].
     memo: Mutex<std::collections::HashMap<String, [Option<MemoReply>; 3]>>,
 }
 
@@ -307,15 +304,6 @@ struct MemoReply {
 /// memo never evicts — eviction would make replay behavior depend on
 /// traffic order).
 const MEMO_CAP: usize = 1024;
-
-/// The memo slot index of an engine (mirrors `ServeMetrics::analyses`).
-fn engine_slot(engine: EngineKind) -> usize {
-    match engine {
-        EngineKind::Pht => 0,
-        EngineKind::Stl => 1,
-        EngineKind::Psf => 2,
-    }
-}
 
 impl Shared {
     fn is_shutdown(&self) -> bool {
@@ -704,8 +692,12 @@ impl FrameReader {
 }
 
 /// Per-connection reader: decodes frames and routes them. The first
-/// frame fixes the protocol version — no `id` means v1 (one reply,
-/// close), an `id` means v2 (persistent, multiplexed).
+/// frame decides the connection's kind once: without an `id` it is a v1
+/// one-shot (one reply, then close), with one it is persistent and
+/// multiplexed (v2), and every later frame must carry an `id`. An
+/// oversized or undecodable first frame counts as id-less. After each
+/// frame's reply the connection ends if it is one-shot or the frame
+/// was `shutdown`.
 fn conn_loop(shared: &Arc<Shared>, stream: Stream) {
     let writer = match stream.try_clone() {
         Ok(w) => w,
@@ -718,85 +710,60 @@ fn conn_loop(shared: &Arc<Shared>, stream: Stream) {
     });
     let tcp = matches!(stream, Stream::Tcp(_));
     let mut reader = FrameReader::new(stream);
-    let mut v2 = false;
+    let mut one_shot = None;
     loop {
-        let line = match reader.next(shared) {
-            FrameRead::Line(l) => l,
-            FrameRead::Eof => return,
-            FrameRead::Shutdown => return,
-            FrameRead::Oversized => {
-                shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                shared.write_reply(
-                    &conn,
-                    &wire::error_reply(&format!(
-                        "frame too large (max {} bytes)",
-                        shared.config.max_frame
-                    )),
-                );
-                if v2 {
-                    continue;
-                }
-                return;
-            }
+        let frame = match reader.next(shared) {
+            FrameRead::Line(line) => wire::parse_frame(&line),
+            FrameRead::Eof | FrameRead::Shutdown => return,
+            FrameRead::Oversized => Err(wire::FrameError::new(
+                None,
+                format!("frame too large (max {} bytes)", shared.config.max_frame),
+            )),
         };
-        let frame = match wire::parse_frame(&line) {
-            Ok(f) => f,
+        let one_shot = *one_shot.get_or_insert(!matches!(&frame, Ok(f) if f.id.is_some()));
+        if !one_shot && frame.is_ok() {
+            shared.counters.frames.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.frames.inc();
+        }
+        let frame = frame.and_then(|f| {
+            if !one_shot && f.id.is_none() {
+                // An interleaved v1 one-shot line on a v2 connection:
+                // per-frame error, never a connection kill.
+                Err(wire::FrameError::new(
+                    None,
+                    "v2 connection requires `id` on every frame",
+                ))
+            } else if tcp && f.req.reads_file() {
+                Err(wire::FrameError::new(
+                    f.id,
+                    "`file` is only accepted on the Unix socket; send `source` over TCP",
+                ))
+            } else {
+                Ok(f)
+            }
+        });
+        let done = match frame {
+            Ok(f) => route_frame(shared, &conn, f.id, f.req),
             Err(e) => {
                 shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
                 shared.write_reply(&conn, &wire::error_reply_id(e.id.as_ref(), &e.message));
-                if v2 {
-                    continue; // per-frame error; the connection survives
-                }
-                return; // v1: one reply, close
+                false
             }
         };
-        if !v2 && frame.id.is_some() {
-            v2 = true;
-        }
-        if v2 {
-            shared.counters.frames.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.frames.inc();
-            if frame.id.is_none() {
-                // An interleaved v1 one-shot line on a v2 connection:
-                // per-frame error, never a connection kill.
-                shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                shared.write_reply(
-                    &conn,
-                    &wire::error_reply("v2 connection requires `id` on every frame"),
-                );
-                continue;
-            }
-        }
-        if tcp && frame.req.reads_file() {
-            shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-            shared.write_reply(
-                &conn,
-                &wire::error_reply_id(
-                    frame.id.as_ref(),
-                    "`file` is only accepted on the Unix socket; send `source` over TCP",
-                ),
-            );
-            if v2 {
-                continue;
-            }
-            return;
-        }
-        let done = route_frame(shared, &conn, frame.id, frame.req, v2);
-        if done || !v2 {
+        if done || one_shot {
             return;
         }
     }
 }
 
 /// Handles one decoded frame: control requests inline, analyze work
-/// through the bounded queue. Returns `true` when the connection is
-/// finished (v1 one-shot served, or shutdown).
+/// through the bounded queue. Returns `true` when the server is
+/// shutting down and the connection must end.
 fn route_frame(
     shared: &Arc<Shared>,
     conn: &Arc<ConnShared>,
     id: Option<Json>,
     req: Request,
-    v2: bool,
 ) -> bool {
     let mut span = lcm_obs::span("serve_request", "serve");
     span.arg_str(
@@ -816,11 +783,11 @@ fn route_frame(
     match req {
         Request::Status => {
             shared.write_reply(conn, &with_id(id.as_ref(), status_members(shared)));
-            !v2
+            false
         }
         Request::Stats => {
             shared.write_reply(conn, &with_id(id.as_ref(), stats_members(shared)));
-            !v2
+            false
         }
         Request::Metrics => {
             let text = lcm_obs::metrics::global().render_prometheus();
@@ -831,7 +798,7 @@ fn route_frame(
                 None => shared.write_reply(conn, &text),
                 Some(id) => shared.write_reply(conn, &wire::metrics_reply_id(id, &text)),
             }
-            !v2
+            false
         }
         Request::Shutdown => {
             drain_on_shutdown(shared);
@@ -857,7 +824,7 @@ fn route_frame(
                         let t0 = Instant::now();
                         shared.write_reply(conn, &wire::prepend_id(id.as_ref(), &line));
                         shared.metrics.request_latency.observe(t0.elapsed());
-                        return !v2;
+                        return false;
                     }
                 }
             }
@@ -886,7 +853,7 @@ fn route_frame(
                     let t0 = Instant::now();
                     shared.write_reply(conn, &wire::batch_reply(id.as_ref(), &outcomes));
                     shared.metrics.request_latency.observe(t0.elapsed());
-                    return !v2;
+                    return false;
                 }
             }
             enqueue(shared, conn, id, JobKind::Batch(items))
@@ -896,10 +863,9 @@ fn route_frame(
 
 /// Queues one analyze job, applying the per-connection fairness cap
 /// (block the reader — backpressure) and the global queue bound (shed
-/// with a `busy` reply naming the `id`). Returns `true` when the
-/// connection is done (v1 one-shot: reply will close it).
+/// with a `busy` reply naming the `id`). Returns `true` when the server
+/// is shutting down and the connection must end.
 fn enqueue(shared: &Arc<Shared>, conn: &Arc<ConnShared>, id: Option<Json>, kind: JobKind) -> bool {
-    let v1 = id.is_none();
     let rendered = id.as_ref().map(Json::render);
     if let Some(key) = &rendered {
         // Fairness cap: wait (with shutdown polling) for this
@@ -954,12 +920,12 @@ fn enqueue(shared: &Arc<Shared>, conn: &Arc<ConnShared>, id: Option<Json>, kind:
             conn,
             &wire::error_reply_id(job.id.as_ref(), "busy: queue full"),
         );
-        return v1;
+        return false;
     }
     work.queue.push_back(job);
     drop(work);
     shared.ready.notify_one();
-    v1
+    false
 }
 
 /// Set by the SIGTERM/SIGINT handler, consumed by the watcher thread
@@ -1089,21 +1055,14 @@ fn analyze_rendered(shared: &Shared, item: &AnalyzeItem) -> Result<Arc<str>, Str
     let module = lcm_minic::compile(&source).map_err(|e| format!("compile error: {e}"))?;
     shared.counters.analyses.fetch_add(1, Ordering::Relaxed);
     shared.metrics.analyses_for(engine).inc();
-    let report: ModuleReport = match (&shared.fleet, &shared.store) {
-        // Fleet mode: crash-isolated worker processes, same cache
-        // discipline, byte-identical rendered reply.
-        (Some(fleet), store) => fleet.analyze_module(
-            &source,
-            &module,
-            engine,
-            shared.detector.config(),
-            store.as_ref(),
-        ),
-        (None, Some(store)) => {
-            lcm_store::analyze_module_cached(&shared.detector, &module, engine, store)
-        }
-        (None, None) => shared.detector.analyze_module(&module, engine),
-    };
+    let report = lcm_fleet::analyze_module(
+        shared.fleet.as_ref(),
+        shared.store.as_ref(),
+        &shared.detector,
+        &source,
+        &module,
+        engine,
+    );
     let counts = lcm_store::CacheCounts::of(&report);
     shared
         .counters
@@ -1127,7 +1086,7 @@ fn analyze_rendered(shared: &Shared, item: &AnalyzeItem) -> Result<Arc<str>, Str
     if fully_hit {
         let mut memo = shared.memo.lock().unwrap();
         if memo.len() < MEMO_CAP {
-            memo.entry(source).or_default()[engine_slot(engine)] = Some(MemoReply {
+            memo.entry(source).or_default()[engine.code()] = Some(MemoReply {
                 line: line.clone(),
                 hits: counts.hits,
             });
@@ -1143,7 +1102,7 @@ fn analyze_rendered(shared: &Shared, item: &AnalyzeItem) -> Result<Arc<str>, Str
 fn memo_replay(shared: &Shared, engine: EngineKind, source: &str) -> Option<Arc<str>> {
     let (line, hits) = {
         let memo = shared.memo.lock().unwrap();
-        let hit = memo.get(source)?[engine_slot(engine)].as_ref()?;
+        let hit = memo.get(source)?[engine.code()].as_ref()?;
         (hit.line.clone(), hit.hits)
     };
     shared.counters.analyses.fetch_add(1, Ordering::Relaxed);
@@ -1164,7 +1123,7 @@ fn memo_replay_batch(shared: &Shared, items: &[AnalyzeItem]) -> Option<Vec<Batch
     {
         let memo = shared.memo.lock().unwrap();
         for item in items {
-            let hit = memo.get(item.source.as_deref()?)?[engine_slot(item.engine)].as_ref()?;
+            let hit = memo.get(item.source.as_deref()?)?[item.engine.code()].as_ref()?;
             hits_total += hit.hits;
             outcomes.push(BatchOutcome::Rendered(hit.line.clone()));
         }

@@ -129,7 +129,7 @@ pub struct FrameError {
 }
 
 impl FrameError {
-    fn new(id: Option<Json>, message: impl Into<String>) -> FrameError {
+    pub(crate) fn new(id: Option<Json>, message: impl Into<String>) -> FrameError {
         FrameError {
             id,
             message: message.into(),
@@ -137,23 +137,9 @@ impl FrameError {
     }
 }
 
-/// The wire name of an engine.
+/// The wire name of an engine: its [`EngineKind::label`].
 pub fn engine_name(engine: EngineKind) -> &'static str {
-    match engine {
-        EngineKind::Pht => "pht",
-        EngineKind::Stl => "stl",
-        EngineKind::Psf => "psf",
-    }
-}
-
-/// Parses a wire engine name.
-pub fn engine_of_name(name: &str) -> Option<EngineKind> {
-    match name {
-        "pht" => Some(EngineKind::Pht),
-        "stl" => Some(EngineKind::Stl),
-        "psf" => Some(EngineKind::Psf),
-        _ => None,
-    }
+    engine.label()
 }
 
 /// Decodes one analyze item (the fields shared by a v1 `analyze` line
@@ -171,7 +157,8 @@ fn parse_item(v: &Json) -> Result<AnalyzeItem, String> {
         None => EngineKind::Pht,
         Some(e) => {
             let name = e.as_str().ok_or("`engine` must be a string")?;
-            engine_of_name(name).ok_or_else(|| format!("unknown engine `{name}` (pht|stl|psf)"))?
+            EngineKind::parse(name)
+                .ok_or_else(|| format!("unknown engine `{name}` (pht|stl|psf)"))?
         }
     };
     Ok(AnalyzeItem {
@@ -234,12 +221,6 @@ pub fn parse_frame(line: &str) -> Result<Frame, FrameError> {
         }
     };
     Ok(Frame { id, req })
-}
-
-/// Decodes one request line, ignoring any `id` (v1 view; kept for the
-/// one-shot path and existing callers).
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    parse_frame(line).map(|f| f.req).map_err(|e| e.message)
 }
 
 /// A v1 failure reply (no `id`).
@@ -462,14 +443,25 @@ mod tests {
 
     #[test]
     fn parses_every_command() {
-        assert_eq!(parse_request(r#"{"cmd":"status"}"#), Ok(Request::Status));
-        assert_eq!(parse_request(r#"{"cmd":"stats"}"#), Ok(Request::Stats));
-        assert_eq!(parse_request(r#"{"cmd":"metrics"}"#), Ok(Request::Metrics));
         assert_eq!(
-            parse_request(r#"{"cmd":"shutdown"}"#),
+            parse_frame(r#"{"cmd":"status"}"#).map(|f| f.req),
+            Ok(Request::Status)
+        );
+        assert_eq!(
+            parse_frame(r#"{"cmd":"stats"}"#).map(|f| f.req),
+            Ok(Request::Stats)
+        );
+        assert_eq!(
+            parse_frame(r#"{"cmd":"metrics"}"#).map(|f| f.req),
+            Ok(Request::Metrics)
+        );
+        assert_eq!(
+            parse_frame(r#"{"cmd":"shutdown"}"#).map(|f| f.req),
             Ok(Request::Shutdown)
         );
-        let r = parse_request(r#"{"cmd":"analyze","source":"int x;","engine":"stl"}"#).unwrap();
+        let r = parse_frame(r#"{"cmd":"analyze","source":"int x;","engine":"stl"}"#)
+            .map(|f| f.req)
+            .unwrap();
         assert_eq!(
             r,
             Request::Analyze {
@@ -478,7 +470,9 @@ mod tests {
                 engine: EngineKind::Stl,
             }
         );
-        let r = parse_request(r#"{"cmd":"analyze","file":"/tmp/a.c"}"#).unwrap();
+        let r = parse_frame(r#"{"cmd":"analyze","file":"/tmp/a.c"}"#)
+            .map(|f| f.req)
+            .unwrap();
         assert!(matches!(
             r,
             Request::Analyze {
@@ -490,12 +484,20 @@ mod tests {
 
     #[test]
     fn rejects_malformed_requests() {
-        assert!(parse_request("not json").is_err());
-        assert!(parse_request(r#"{"cmd":"frobnicate"}"#).is_err());
-        assert!(parse_request(r#"{"cmd":"analyze"}"#).is_err());
-        assert!(parse_request(r#"{"cmd":"analyze","source":"a","file":"b"}"#).is_err());
-        assert!(parse_request(r#"{"cmd":"analyze","source":"a","engine":"quantum"}"#).is_err());
-        assert!(parse_request(r#"{"source":"a"}"#).is_err());
+        assert!(parse_frame("not json").map(|f| f.req).is_err());
+        assert!(parse_frame(r#"{"cmd":"frobnicate"}"#)
+            .map(|f| f.req)
+            .is_err());
+        assert!(parse_frame(r#"{"cmd":"analyze"}"#).map(|f| f.req).is_err());
+        assert!(parse_frame(r#"{"cmd":"analyze","source":"a","file":"b"}"#)
+            .map(|f| f.req)
+            .is_err());
+        assert!(
+            parse_frame(r#"{"cmd":"analyze","source":"a","engine":"quantum"}"#)
+                .map(|f| f.req)
+                .is_err()
+        );
+        assert!(parse_frame(r#"{"source":"a"}"#).map(|f| f.req).is_err());
     }
 
     #[test]

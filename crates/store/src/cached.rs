@@ -1,15 +1,18 @@
 //! Cache-aware analysis drivers: the store wired in front of the
 //! engines.
 //!
-//! This module owns the per-function cache rule: [`stamp_hit`] and
-//! [`settle`] are its two halves and [`cache_traffic`] its counters.
-//! Everything that puts a store in front of Clou goes through them:
-//! the drivers below, the fleet supervisor and the fig8 harness.
+//! This module owns the cache rule. Per function, [`stamp_hit`] and
+//! [`settle`] are its two halves and [`cache_traffic`] its counters;
+//! per module, [`drive_module`] looks every function up, hands the
+//! misses to an executor (the detector's thread fan-out or the fleet's
+//! worker processes) and settles what comes back. Everything that puts
+//! a store in front of Clou goes through them: the functions below, the
+//! fleet and the fig8 harness.
 
 use std::time::{Duration, Instant};
 
 use lcm_core::govern::AnalysisError;
-use lcm_detect::{CacheStatus, Detector, EngineKind, FunctionReport, ModuleReport};
+use lcm_detect::{CacheStatus, Detector, DetectorConfig, EngineKind, FunctionReport, ModuleReport};
 use lcm_haunted::{HauntedConfig, HauntedEngine, HauntedModuleReport, HauntedReport};
 use lcm_ir::Module;
 
@@ -90,37 +93,6 @@ pub fn settle(report: &mut FunctionReport, store: Option<(&Store, Fingerprint)>)
     cache_traffic(report.cache).inc();
 }
 
-/// Analyzes one function through the cache: a hit is served by
-/// [`stamp_hit`] and runs no engine; a miss runs
-/// [`Detector::analyze_function`] and goes through [`settle`].
-/// Everything spent beyond the engine run (fingerprint, lookup,
-/// insertion) lands in the `cache` phase bucket, so the breakdown
-/// still sums to wall clock.
-pub fn cached_function_report(
-    det: &Detector,
-    module: &Module,
-    fname: &str,
-    engine: EngineKind,
-    store: &Store,
-) -> FunctionReport {
-    let t0 = Instant::now();
-    let mut sp = lcm_obs::span("cache_lookup", "store");
-    sp.arg_str("fn", fname);
-    let fp = clou_fingerprint(module, fname, det.config(), engine);
-    if let Some(mut hit) = store.lookup_clou(fp) {
-        sp.arg_str("cache", CacheStatus::Hit.label());
-        stamp_hit(&mut hit, t0.elapsed());
-        return hit;
-    }
-    drop(sp);
-    let mut report = det.analyze_function(module, fname, engine);
-    settle(&mut report, Some((store, fp)));
-    let wall = t0.elapsed();
-    report.timings.cache = wall.saturating_sub(report.runtime);
-    report.runtime = wall;
-    report
-}
-
 /// The process-wide counter of one cache disposition
 /// (`lcm_cache_{hits,misses,bypass}_total`). [`stamp_hit`] and
 /// [`settle`] count through it; the daemon's memo replays credit their
@@ -150,31 +122,94 @@ pub fn cache_traffic(status: CacheStatus) -> &'static lcm_obs::metrics::Counter 
     }
 }
 
-/// [`Detector::analyze_module`] with the store in front: every public
-/// function goes through [`cached_function_report`], fanned out over
-/// `det.config().jobs` workers. Worker panics degrade the one function
-/// (same discipline as the uncached path).
+/// The module-level cache rule, for any executor: looks every public
+/// function up, hands the misses to `run`, settles what comes back, and
+/// returns the reports in module order.
+///
+/// The pre-pass fingerprints each function once and, with a store,
+/// looks it up; a hit is served by [`stamp_hit`] and reaches no
+/// executor. It fans out over `config.jobs` [`lcm_core::par`] threads,
+/// one `cache_lookup` span per function. `run` is called once, with
+/// the misses' module indices and fingerprints, and must return one
+/// report per miss in that order; it is not called when every function
+/// hits. Each returned report goes through [`settle`], in module order,
+/// and its function's fingerprint, lookup and insertion time is added
+/// to its `runtime` and `cache` bucket, so breakdowns still sum to wall
+/// clock. The pre-pass has no fault site and does not panic; panics
+/// come from analysis, which each executor confines to the function.
+pub fn drive_module(
+    module: &Module,
+    engine: EngineKind,
+    config: &DetectorConfig,
+    store: Option<&Store>,
+    run: impl FnOnce(&[usize], &[Fingerprint]) -> Vec<FunctionReport>,
+) -> ModuleReport {
+    enum Looked {
+        Hit(FunctionReport),
+        /// The fingerprint, and the time spent on it and its lookup.
+        Miss(Fingerprint, Duration),
+    }
+    let names: Vec<&str> = module.public_functions().map(|f| f.name.as_str()).collect();
+    let looked = lcm_core::par::map_indexed(&names, config.jobs, |_, name| {
+        let t0 = Instant::now();
+        let mut sp = lcm_obs::span("cache_lookup", "store");
+        sp.arg_str("fn", name);
+        let fp = clou_fingerprint(module, name, config, engine);
+        match store.and_then(|s| s.lookup_clou(fp)) {
+            Some(mut hit) => {
+                sp.arg_str("cache", CacheStatus::Hit.label());
+                stamp_hit(&mut hit, t0.elapsed());
+                Looked::Hit(hit)
+            }
+            None => Looked::Miss(fp, t0.elapsed()),
+        }
+    });
+    let (indices, fps): (Vec<usize>, Vec<Fingerprint>) = looked
+        .iter()
+        .enumerate()
+        .filter_map(|(i, l)| match l {
+            Looked::Miss(fp, _) => Some((i, *fp)),
+            Looked::Hit(_) => None,
+        })
+        .unzip();
+    let mut fresh = if indices.is_empty() {
+        Vec::new()
+    } else {
+        run(&indices, &fps)
+    }
+    .into_iter();
+    let functions = looked
+        .into_iter()
+        .map(|l| match l {
+            Looked::Hit(hit) => hit,
+            Looked::Miss(fp, spent) => {
+                let mut report = fresh
+                    .next()
+                    .expect("the executor returns one report per miss");
+                let t0 = Instant::now();
+                settle(&mut report, store.map(|s| (s, fp)));
+                let spent = spent + t0.elapsed();
+                report.timings.cache += spent;
+                report.runtime += spent;
+                report
+            }
+        })
+        .collect();
+    ModuleReport { functions }
+}
+
+/// [`Detector::analyze_module`] with the store in front: [`drive_module`]
+/// with the detector's own fan-out ([`Detector::analyze_functions`]) as
+/// the executor of the misses.
 pub fn analyze_module_cached(
     det: &Detector,
     module: &Module,
     engine: EngineKind,
     store: &Store,
 ) -> ModuleReport {
-    let names: Vec<&str> = module.public_functions().map(|f| f.name.as_str()).collect();
-    let results = lcm_core::par::map_indexed_catch(&names, det.config().jobs, |_, name| {
-        cached_function_report(det, module, name, engine, store)
-    });
-    let functions = results
-        .into_iter()
-        .zip(&names)
-        .map(|(res, name)| match res {
-            Ok(report) => report,
-            Err(message) => {
-                FunctionReport::degraded(name.to_string(), AnalysisError::WorkerPanic { message })
-            }
-        })
-        .collect();
-    ModuleReport { functions }
+    drive_module(module, engine, det.config(), Some(store), |indices, _| {
+        det.analyze_functions(module, engine, indices)
+    })
 }
 
 /// The baseline (Binsec/Haunted stand-in) with the store in front.

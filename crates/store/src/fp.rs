@@ -101,14 +101,6 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn engine_tag(engine: EngineKind) -> u64 {
-    match engine {
-        EngineKind::Pht => 0,
-        EngineKind::Stl => 1,
-        EngineKind::Psf => 2,
-    }
-}
-
 /// The address of one (function, Clou engine, config) analysis result.
 pub fn clou_fingerprint(
     module: &Module,
@@ -118,7 +110,7 @@ pub fn clou_fingerprint(
 ) -> Fingerprint {
     let mut h = Fnv128::default();
     h.update_str("clou");
-    h.update_u64(engine_tag(engine));
+    h.update_u64(engine.code() as u64);
     // Findings-affecting knobs only; see module docs for the exclusions.
     h.update_u64(config.spec.rob_size as u64);
     h.update_u64(config.spec.lsq_size as u64);

@@ -11,11 +11,15 @@
 //! bodies part of the analyzed A-CFG), referenced globals, engine, and
 //! findings-affecting config — and persisted in an append-only log.
 //!
-//! On a warm run the engines never execute: [`analyze_module_cached`]
-//! serves every unchanged function from the store, reporting it as
-//! `cache: Hit` with the (micro-second scale) lookup time in the new
-//! `cache` phase bucket. Editing one function invalidates exactly that
-//! function (plus its callers) — see [`lcm_ir::canon`].
+//! On a warm run the engines never execute: [`drive_module`], the one
+//! module-level cache rule, serves every unchanged function from the
+//! store, reporting it as `cache: Hit` with the (micro-second scale)
+//! fingerprint and lookup time in the `cache` phase bucket, and hands
+//! only the misses to an executor: the detector's thread fan-out
+//! ([`analyze_module_cached`]) or the worker fleet
+//! (`lcm_fleet::Fleet::analyze_module`). Editing one function
+//! invalidates exactly that function (plus its callers) — see
+//! [`lcm_ir::canon`].
 //!
 //! Failure discipline mirrors the resilience layer (DESIGN.md §6c): a
 //! missing, truncated, corrupt, or version-skewed store file **never**
@@ -38,7 +42,7 @@ use lcm_detect::FunctionReport;
 use lcm_haunted::HauntedReport;
 
 pub use cached::{
-    analyze_module_bh_cached, analyze_module_cached, cache_traffic, cached_function_report, settle,
+    analyze_module_bh_cached, analyze_module_cached, cache_traffic, drive_module, settle,
     stamp_hit, CacheCounts,
 };
 pub use fp::{bh_fingerprint, clou_fingerprint, Fingerprint};

@@ -10,7 +10,7 @@
 //! lcm-cli client (--socket PATH | --tcp ADDR) stats
 //! lcm-cli client (--socket PATH | --tcp ADDR) metrics    # Prometheus text, not JSON
 //! lcm-cli client (--socket PATH | --tcp ADDR) shutdown
-//! lcm-cli client (--socket PATH | --tcp ADDR) analyze [--engine pht|stl] [--retries N]
+//! lcm-cli client (--socket PATH | --tcp ADDR) analyze [--engine pht|stl|psf] [--retries N]
 //!                (--file PATH | --source SRC | -)   # `-` reads stdin
 //! ```
 //!
@@ -52,7 +52,7 @@ lcm-cli — analysis daemon and client
                  [--cache-dir DIR] [--jobs N] [--fleet N] [--trace-out PATH]
                  [--events-out PATH]
   lcm-cli client (--socket PATH | --tcp ADDR) status | stats | metrics | shutdown
-  lcm-cli client (--socket PATH | --tcp ADDR) analyze [--engine pht|stl] [--retries N]
+  lcm-cli client (--socket PATH | --tcp ADDR) analyze [--engine pht|stl|psf] [--retries N]
                  (--file PATH | --source SRC | -)
   lcm-cli store  compact --cache-dir DIR
   lcm-cli fuzz   [--seed N] [--count N] [--jobs N] [--quick]
@@ -335,8 +335,8 @@ fn client(args: &[String]) -> ExitCode {
             "analyze" => {
                 let engine = match take_value(&mut args, "--engine")? {
                     None => EngineKind::Pht,
-                    Some(name) => lcm::serve::wire::engine_of_name(&name)
-                        .ok_or_else(|| format!("unknown engine {name:?} (pht | stl)"))?,
+                    Some(name) => EngineKind::parse(&name)
+                        .ok_or_else(|| format!("unknown engine {name:?} (pht | stl | psf)"))?,
                 };
                 let file = take_value(&mut args, "--file")?;
                 let source = take_value(&mut args, "--source")?;

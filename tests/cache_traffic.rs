@@ -4,7 +4,8 @@
 //! is the only test in its binary, so the counter deltas it reads are
 //! exactly the runs it makes. A cold run, a warm run and a degraded run
 //! through `Fleet::analyze_module` must each move the three counters by
-//! what `analyze_module_cached` moves them on the same module.
+//! what `analyze_module_cached` moves them on the same module, and
+//! render the same reply.
 
 use std::time::Duration;
 
@@ -12,6 +13,7 @@ use lcm::core::fault::{site, FaultPlan};
 use lcm::detect::{Detector, DetectorConfig, EngineKind};
 use lcm::fleet::{Fleet, FleetConfig};
 use lcm::obs::metrics::{global, names};
+use lcm::serve::wire::analyze_reply;
 use lcm::store::{analyze_module_cached, Store};
 
 const FOUR_VICTIMS: &str = r#"
@@ -77,18 +79,31 @@ fn fleet_cache_traffic_matches_in_process() {
         let local_store = fresh_store(&dir, &format!("{label}-local.lcmstore"));
         let det = Detector::new(config.clone());
         for (run, expected) in ["cold", "warm"].into_iter().zip(expected) {
+            let mut fleet_report = None;
             let by_fleet = delta(|| {
-                fleet.analyze_module(
+                fleet_report = Some(fleet.analyze_module(
                     FOUR_VICTIMS,
                     &m,
                     EngineKind::Pht,
                     &config,
                     Some(&fleet_store),
-                );
+                ));
             });
+            let mut local_report = None;
             let in_process = delta(|| {
-                analyze_module_cached(&det, &m, EngineKind::Pht, &local_store);
+                local_report = Some(analyze_module_cached(
+                    &det,
+                    &m,
+                    EngineKind::Pht,
+                    &local_store,
+                ));
             });
+            // Per-function labels, status and findings, in module order.
+            assert_eq!(
+                analyze_reply(&fleet_report.unwrap(), EngineKind::Pht),
+                analyze_reply(&local_report.unwrap(), EngineKind::Pht),
+                "{label} {run}: rendered reply"
+            );
             assert_eq!(
                 by_fleet, in_process,
                 "{label} {run}: [hits, misses, bypass]"
