@@ -39,9 +39,9 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use lcm_bench::cli;
-use lcm_core::jsonw::Json;
 use lcm_detect::EngineKind;
 use lcm_obs::metrics::{latency_buckets, names, Histogram, MetricsRegistry};
+use lcm_serve::client::analyze_request;
 use lcm_serve::{Client, ServeConfig, Server};
 
 /// Which protocol shape a run exercises.
@@ -246,19 +246,6 @@ fn fresh_hist() -> Histogram {
     )
 }
 
-/// A rendered v1 analyze request line.
-fn analyze_frame(source: &str, engine: EngineKind) -> String {
-    Json::Obj(vec![
-        ("cmd".to_string(), Json::Str("analyze".into())),
-        ("source".to_string(), Json::Str(source.into())),
-        (
-            "engine".to_string(),
-            Json::Str(lcm_serve::wire::engine_name(engine).into()),
-        ),
-    ])
-    .render()
-}
-
 /// Cheap field scans over raw reply lines. The measured path
 /// deliberately skips a full JSON parse: a warm reply is ~3 KB and
 /// parsing it costs several times the daemon's entire warm-path
@@ -292,7 +279,7 @@ fn run_oneshot(client: &Client, opts: &Opts, tag: &str) -> ModeResult {
     let start = Instant::now();
     for i in 0..opts.requests {
         pace(start, i, opts.rps);
-        let frame = analyze_frame(&source(opts.mix, tag, i), opts.engine);
+        let frame = analyze_request(Some(&source(opts.mix, tag, i)), None, opts.engine);
         let t0 = Instant::now();
         match client.request_line(&frame) {
             Ok(line) if reply_ok(&line) => {}

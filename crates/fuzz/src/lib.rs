@@ -13,7 +13,7 @@
 //!   hook on the one IR interpreter (`lcm_ir::interp`);
 //! * [`mod@shrink`] — a greedy AST minimizer for failing programs;
 //! * [`diff`] — the harness: engine-vs-oracle cross-checking, `repair()`
-//!   re-verification, and a SAT-backed fence-minimality certificate.
+//!   re-verification, and a drop-one fence-minimality certificate.
 
 #![warn(missing_docs)]
 

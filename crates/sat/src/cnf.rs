@@ -1,11 +1,11 @@
-//! Formula-building helpers: Tseitin encodings and cardinality constraints.
+//! Formula-building helpers: Tseitin gates and implications.
 //!
 //! [`Cnf`] wraps a [`Solver`] and provides gate-level operations that
-//! return a literal representing the gate output, so constraint generators
-//! (the S-AEG builder in `lcm-aeg`) can compose formulas without manual
-//! clause bookkeeping.
+//! return a literal representing the gate output, so a formula (the path
+//! formula of `lcm-aeg`'s feasibility test) can be composed without
+//! manual clause bookkeeping.
 
-use crate::{Lit, Solver, Var};
+use crate::{Lit, Solver};
 
 /// Clause/gate builder over a [`Solver`].
 ///
@@ -41,19 +41,9 @@ impl Cnf {
         &mut self.solver
     }
 
-    /// Consumes the builder, returning the solver.
-    pub fn into_solver(self) -> Solver {
-        self.solver
-    }
-
     /// A fresh positive literal.
     pub fn fresh(&mut self) -> Lit {
         Lit::pos(self.solver.new_var())
-    }
-
-    /// A fresh variable.
-    pub fn fresh_var(&mut self) -> Var {
-        self.solver.new_var()
     }
 
     /// The constant-true literal (allocated lazily).
@@ -79,26 +69,9 @@ impl Cnf {
         self.solver.add_clause([l]);
     }
 
-    /// Asserts a disjunction.
-    pub fn assert_or(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        self.solver.add_clause(lits);
-    }
-
     /// Asserts `a → b`.
     pub fn assert_implies(&mut self, a: Lit, b: Lit) {
         self.solver.add_clause([!a, b]);
-    }
-
-    /// Asserts `a → (b₁ ∨ b₂ ∨ …)`.
-    pub fn assert_implies_or(&mut self, a: Lit, bs: impl IntoIterator<Item = Lit>) {
-        let mut c = vec![!a];
-        c.extend(bs);
-        self.solver.add_clause(c);
-    }
-
-    /// Asserts `¬(a ∧ b)`.
-    pub fn assert_not_both(&mut self, a: Lit, b: Lit) {
-        self.solver.add_clause([!a, !b]);
     }
 
     /// Tseitin AND gate: returns `t ↔ a ∧ b`.
@@ -108,33 +81,6 @@ impl Cnf {
         self.solver.add_clause([!t, b]);
         self.solver.add_clause([t, !a, !b]);
         t
-    }
-
-    /// Tseitin OR gate: returns `t ↔ a ∨ b`.
-    pub fn or(&mut self, a: Lit, b: Lit) -> Lit {
-        let t = self.fresh();
-        self.solver.add_clause([t, !a]);
-        self.solver.add_clause([t, !b]);
-        self.solver.add_clause([!t, a, b]);
-        t
-    }
-
-    /// N-ary Tseitin AND. The empty conjunction is constant true.
-    pub fn and_all(&mut self, lits: &[Lit]) -> Lit {
-        match lits {
-            [] => self.constant_true(),
-            [l] => *l,
-            _ => {
-                let t = self.fresh();
-                for &l in lits {
-                    self.solver.add_clause([!t, l]);
-                }
-                let mut c = vec![t];
-                c.extend(lits.iter().map(|&l| !l));
-                self.solver.add_clause(c);
-                t
-            }
-        }
     }
 
     /// N-ary Tseitin OR. The empty disjunction is constant false.
@@ -152,83 +98,6 @@ impl Cnf {
                 self.solver.add_clause(c);
                 t
             }
-        }
-    }
-
-    /// Tseitin equivalence: returns `t ↔ (a ↔ b)`.
-    pub fn iff(&mut self, a: Lit, b: Lit) -> Lit {
-        let t = self.fresh();
-        self.solver.add_clause([!t, !a, b]);
-        self.solver.add_clause([!t, a, !b]);
-        self.solver.add_clause([t, a, b]);
-        self.solver.add_clause([t, !a, !b]);
-        t
-    }
-
-    /// Asserts that at most one of the literals is true (pairwise
-    /// encoding — fine for the small groups this repo produces).
-    pub fn assert_at_most_one(&mut self, lits: &[Lit]) {
-        for (i, &a) in lits.iter().enumerate() {
-            for &b in &lits[i + 1..] {
-                self.solver.add_clause([!a, !b]);
-            }
-        }
-    }
-
-    /// Asserts that exactly one of the literals is true.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lits` is empty (an empty exactly-one is unsatisfiable by
-    /// construction and always indicates a generator bug).
-    pub fn assert_exactly_one(&mut self, lits: &[Lit]) {
-        assert!(!lits.is_empty(), "exactly-one over no literals");
-        self.assert_or(lits.iter().copied());
-        self.assert_at_most_one(lits);
-    }
-
-    /// Asserts that at most `k` of the literals are true, via Sinz's
-    /// sequential-counter encoding (O(n·k) clauses and auxiliaries).
-    /// Used by the fence-minimality certificate in `lcm-fuzz` for its
-    /// MaxSAT-style descending-`k` search.
-    pub fn assert_at_most_k(&mut self, lits: &[Lit], k: usize) {
-        if k >= lits.len() {
-            return; // vacuous
-        }
-        if k == 0 {
-            for &l in lits {
-                self.assert_lit(!l);
-            }
-            return;
-        }
-        if k == 1 {
-            self.assert_at_most_one(lits);
-            return;
-        }
-        // s[i][j] ⇔ "at least j+1 of lits[..=i] are true".
-        let mut prev: Vec<Lit> = Vec::new();
-        for (i, &x) in lits.iter().enumerate() {
-            let width = k.min(i + 1);
-            let row: Vec<Lit> = (0..width).map(|_| self.fresh()).collect();
-            // x → s[i][0]
-            self.assert_implies(x, row[0]);
-            if i > 0 {
-                // s[i-1][j] → s[i][j]
-                for j in 0..prev.len().min(width) {
-                    self.assert_implies(prev[j], row[j]);
-                }
-                // x ∧ s[i-1][j-1] → s[i][j]
-                for j in 1..width {
-                    if j - 1 < prev.len() {
-                        self.solver.add_clause([!x, !prev[j - 1], row[j]]);
-                    }
-                }
-                // Overflow: x ∧ s[i-1][k-1] is forbidden.
-                if prev.len() == k && i >= k {
-                    self.solver.add_clause([!x, !prev[k - 1]]);
-                }
-            }
-            prev = row;
         }
     }
 }
@@ -266,46 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn or_gate_semantics() {
-        let mut f = Cnf::new();
-        let a = f.fresh();
-        let b = f.fresh();
-        let t = f.or(a, b);
-        f.assert_lit(!t);
-        let m = model_of(&mut f);
-        assert!(!m.value(a) && !m.value(b));
-    }
-
-    #[test]
-    fn iff_gate_semantics() {
-        let mut f = Cnf::new();
-        let a = f.fresh();
-        let b = f.fresh();
-        let t = f.iff(a, b);
-        f.assert_lit(t);
-        f.assert_lit(a);
-        let m = model_of(&mut f);
-        assert!(m.value(b));
-
-        let mut f = Cnf::new();
-        let a = f.fresh();
-        let b = f.fresh();
-        let t = f.iff(a, b);
-        f.assert_lit(!t);
-        f.assert_lit(a);
-        let m = model_of(&mut f);
-        assert!(!m.value(b));
-    }
-
-    #[test]
     fn nary_gates() {
-        let mut f = Cnf::new();
-        let xs: Vec<Lit> = (0..5).map(|_| f.fresh()).collect();
-        let all = f.and_all(&xs);
-        f.assert_lit(all);
-        let m = model_of(&mut f);
-        assert!(xs.iter().all(|&x| m.value(x)));
-
         let mut f = Cnf::new();
         let xs: Vec<Lit> = (0..5).map(|_| f.fresh()).collect();
         let any = f.or_all(&xs);
@@ -317,90 +147,8 @@ mod tests {
     #[test]
     fn empty_gates_are_constants() {
         let mut f = Cnf::new();
-        let t = f.and_all(&[]);
         let fa = f.or_all(&[]);
-        f.assert_lit(t);
         f.assert_lit(!fa);
         assert!(f.solver_mut().solve().is_sat());
-    }
-
-    #[test]
-    fn exactly_one_enforced() {
-        let mut f = Cnf::new();
-        let xs: Vec<Lit> = (0..4).map(|_| f.fresh()).collect();
-        f.assert_exactly_one(&xs);
-        let m = model_of(&mut f);
-        assert_eq!(xs.iter().filter(|&&x| m.value(x)).count(), 1);
-
-        // Forcing two of them true is unsat.
-        f.assert_lit(xs[0]);
-        f.assert_lit(xs[2]);
-        assert!(!f.solver_mut().solve().is_sat());
-    }
-
-    #[test]
-    fn implies_or_semantics() {
-        let mut f = Cnf::new();
-        let a = f.fresh();
-        let b = f.fresh();
-        let c = f.fresh();
-        f.assert_implies_or(a, [b, c]);
-        f.assert_lit(a);
-        f.assert_lit(!b);
-        let m = model_of(&mut f);
-        assert!(m.value(c));
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly-one over no literals")]
-    fn exactly_one_empty_panics() {
-        Cnf::new().assert_exactly_one(&[]);
-    }
-
-    #[test]
-    fn at_most_k_bounds_true_count() {
-        for n in 1..7usize {
-            for k in 0..=n {
-                let mut f = Cnf::new();
-                let xs: Vec<Lit> = (0..n).map(|_| f.fresh()).collect();
-                f.assert_at_most_k(&xs, k);
-                let m = model_of(&mut f);
-                assert!(
-                    xs.iter().filter(|&&x| m.value(x)).count() <= k,
-                    "n={n} k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn at_most_k_allows_exactly_k() {
-        let mut f = Cnf::new();
-        let xs: Vec<Lit> = (0..6).map(|_| f.fresh()).collect();
-        f.assert_at_most_k(&xs, 3);
-        for &x in &xs[..3] {
-            f.assert_lit(x);
-        }
-        assert!(f.solver_mut().solve().is_sat(), "k true literals are fine");
-    }
-
-    #[test]
-    fn at_most_k_rejects_k_plus_one() {
-        let mut f = Cnf::new();
-        let xs: Vec<Lit> = (0..6).map(|_| f.fresh()).collect();
-        f.assert_at_most_k(&xs, 3);
-        for &x in &xs[..4] {
-            f.assert_lit(x);
-        }
-        assert!(!f.solver_mut().solve().is_sat(), "k+1 must be unsat");
-    }
-
-    #[test]
-    fn at_most_zero_forces_all_false() {
-        let mut f = Cnf::new();
-        let xs: Vec<Lit> = (0..4).map(|_| f.fresh()).collect();
-        f.assert_at_most_k(&xs, 0);
-        let m = model_of(&mut f);
-        assert!(xs.iter().all(|&x| !m.value(x)));
     }
 }

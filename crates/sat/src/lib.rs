@@ -1,23 +1,22 @@
-//! A CDCL SAT solver with assumptions and unsat cores.
+//! A CDCL SAT solver with assumptions.
 //!
-//! Clou (§5.2–5.3) encodes the symbolic abstract event graph as a set of
-//! first-order constraints over edge-presence variables and discharges
-//! leakage queries to an SMT solver. The constraints this repository
-//! generates are purely propositional — branch outcomes, speculation
-//! windows, alias decisions, and edge presence connected by implications —
-//! so a CDCL SAT solver with incremental assumptions fills the same role
-//! Z3 fills in the paper (see DESIGN.md for the substitution argument).
+//! Clou (§5.2–5.3) discharges its path formulas to an SMT solver. This
+//! repository decides path feasibility exactly by block reachability
+//! over the acyclic A-CFG (`lcm_aeg::Feasibility`), and keeps this
+//! solver as the independent oracle for that decision:
+//! `crates/aeg/tests/feasibility.rs` encodes Fig. 7's edge formulas in
+//! CNF and checks that both agree on random CFGs and assumption stacks
+//! (see DESIGN.md for the substitution argument).
 //!
 //! Features:
 //!
 //! * two-watched-literal propagation, first-UIP clause learning,
 //!   VSIDS-style activity with phase saving, and Luby restarts
 //!   ([`Solver`]);
-//! * solving under **assumptions** with **unsat core** extraction
-//!   ([`Solver::solve_with`]) — the mechanism behind minimal fence
-//!   insertion;
-//! * a formula-building layer with Tseitin encodings of and/or/implies/iff
-//!   and cardinality helpers ([`cnf::Cnf`]).
+//! * solving under **assumptions** on a solver that stays usable for
+//!   the next query ([`Solver::solve_with`]);
+//! * a formula-building layer with Tseitin AND/OR gates and implications
+//!   ([`cnf::Cnf`]).
 //!
 //! # Examples
 //!
@@ -38,7 +37,7 @@
 pub mod cnf;
 mod solver;
 
-pub use solver::{AbortReason, LearntStats, Model, SolveLimits, SolveResult, Solver};
+pub use solver::{Model, SolveResult, Solver};
 
 use std::fmt;
 use std::ops::Not;

@@ -1,7 +1,5 @@
 //! The CDCL solving engine.
 
-use std::time::Instant;
-
 use crate::{Lit, Var};
 
 /// A satisfying assignment.
@@ -27,60 +25,19 @@ impl Model {
     }
 }
 
-/// Why a solve call gave up before reaching SAT or UNSAT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbortReason {
-    /// The conflict budget of [`SolveLimits::max_conflicts`] ran out.
-    Conflicts,
-    /// The wall-clock deadline of [`SolveLimits::deadline`] passed.
-    Deadline,
-}
-
-/// Resource limits for a solve call. The default is unlimited; limits
-/// persist across calls until changed via [`Solver::set_limits`].
-///
-/// These deliberately mirror (a subset of) the resource governor in
-/// `lcm-core` without depending on it — `lcm-sat` stays a leaf crate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveLimits {
-    /// Conflicts this call may spend before aborting. A call that
-    /// finishes with at most this many conflicts is unaffected.
-    pub max_conflicts: Option<u64>,
-    /// Absolute deadline, checked at entry and every 128 conflicts.
-    pub deadline: Option<Instant>,
-}
-
-impl SolveLimits {
-    /// No limits (same as `Default`).
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-}
-
 /// Outcome of a solve call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveResult {
     /// Satisfiable, with a model.
     Sat(Model),
-    /// Unsatisfiable. Under assumptions, carries an unsat core: a subset of
-    /// the assumptions that is already jointly unsatisfiable with the
-    /// clauses.
-    Unsat(Vec<Lit>),
-    /// The call gave up (see [`SolveLimits`]) before determining
-    /// satisfiability. The solver remains usable; learned clauses from
-    /// the aborted call are kept.
-    Aborted(AbortReason),
+    /// Unsatisfiable (under the assumptions, if any).
+    Unsat,
 }
 
 impl SolveResult {
     /// `true` if satisfiable.
     pub fn is_sat(&self) -> bool {
         matches!(self, SolveResult::Sat(_))
-    }
-
-    /// `true` if the call hit a resource limit.
-    pub fn is_aborted(&self) -> bool {
-        matches!(self, SolveResult::Aborted(_))
     }
 
     /// The model, if satisfiable.
@@ -90,35 +47,11 @@ impl SolveResult {
             _ => None,
         }
     }
-
-    /// The unsat core, if unsatisfiable.
-    pub fn core(&self) -> Option<&[Lit]> {
-        match self {
-            SolveResult::Unsat(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 const UNASSIGNED: u8 = 2;
 
 type ClauseRef = u32;
-
-/// Learnt clauses retained before a reduction pass halves the long ones,
-/// when no explicit cap is set via [`Solver::set_learnt_cap`].
-const DEFAULT_LEARNT_CAP: usize = 8192;
-
-/// Learnt-clause database statistics (see [`Solver::learnt_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LearntStats {
-    /// Learnt clauses currently retained in the database.
-    pub retained: usize,
-    /// Learnt clauses deleted by reduction passes over the solver's
-    /// lifetime.
-    pub deleted: u64,
-    /// Reduction passes run.
-    pub reductions: u64,
-}
 
 /// A CDCL SAT solver (MiniSat-style).
 ///
@@ -130,11 +63,10 @@ pub struct LearntStats {
 /// let mut s = Solver::new();
 /// let (a, b) = (s.new_var(), s.new_var());
 /// s.add_clause([Lit::pos(a), Lit::pos(b)]);
-/// // Under the assumption ¬a ∧ ¬b the instance is unsat, and the core
-/// // names both assumptions:
-/// let r = s.solve_with(&[Lit::neg(a), Lit::neg(b)]);
-/// assert!(!r.is_sat());
-/// assert_eq!(r.core().unwrap().len(), 2);
+/// // Unsat under the assumptions ¬a ∧ ¬b; the assumptions are retracted
+/// // afterwards, so the same solver answers the next query:
+/// assert!(!s.solve_with(&[Lit::neg(a), Lit::neg(b)]).is_sat());
+/// assert!(s.solve_with(&[Lit::neg(a)]).is_sat());
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Solver {
@@ -153,18 +85,6 @@ pub struct Solver {
     var_inc: f64,
     phase: Vec<bool>,
     contradiction: bool,
-    n_conflicts: u64,
-    n_decisions: u64,
-    n_propagations: u64,
-    limits: SolveLimits,
-    /// Refs of retained learnt clauses, in learn (age) order.
-    learnts: Vec<ClauseRef>,
-    /// Clause slots freed by reduction, reusable by `attach_clause`.
-    free: Vec<ClauseRef>,
-    /// Reduction threshold; `0` means [`DEFAULT_LEARNT_CAP`].
-    learnt_cap: usize,
-    n_learnts_deleted: u64,
-    n_reductions: u64,
 }
 
 impl Solver {
@@ -179,39 +99,6 @@ impl Solver {
     /// The number of variables.
     pub fn num_vars(&self) -> usize {
         self.assign.len()
-    }
-
-    /// Statistics: `(conflicts, decisions, propagations)`.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.n_conflicts, self.n_decisions, self.n_propagations)
-    }
-
-    /// Sets the resource limits for subsequent solve calls.
-    pub fn set_limits(&mut self, limits: SolveLimits) {
-        self.limits = limits;
-    }
-
-    /// Sets the learnt-clause cap: when more learnt clauses than this
-    /// are retained at the start of a solve call, a reduction pass
-    /// deletes the older half of the non-binary ones. `0` restores the
-    /// default cap; `usize::MAX` effectively disables reduction.
-    pub fn set_learnt_cap(&mut self, cap: usize) {
-        self.learnt_cap = cap;
-    }
-
-    /// Learnt-clause database statistics: clauses currently retained,
-    /// clauses deleted, and reduction passes run.
-    pub fn learnt_stats(&self) -> LearntStats {
-        LearntStats {
-            retained: self.learnts.len(),
-            deleted: self.n_learnts_deleted,
-            reductions: self.n_reductions,
-        }
-    }
-
-    /// The limits currently in force.
-    pub fn limits(&self) -> SolveLimits {
-        self.limits
     }
 
     /// Allocates a fresh variable.
@@ -279,79 +166,17 @@ impl Solver {
                 }
             }
             _ => {
-                self.attach_clause(c, false);
+                self.attach_clause(c);
             }
         }
     }
 
-    fn attach_clause(&mut self, c: Vec<Lit>, learnt: bool) -> ClauseRef {
-        let cref = match self.free.pop() {
-            Some(r) => {
-                self.clauses[r as usize] = c;
-                r
-            }
-            None => {
-                self.clauses.push(c);
-                (self.clauses.len() - 1) as ClauseRef
-            }
-        };
-        let (w0, w1) = {
-            let c = &self.clauses[cref as usize];
-            (c[0], c[1])
-        };
-        self.watches[(!w0).index()].push(cref);
-        self.watches[(!w1).index()].push(cref);
-        if learnt {
-            self.learnts.push(cref);
-        }
+    fn attach_clause(&mut self, c: Vec<Lit>) -> ClauseRef {
+        let cref = self.clauses.len() as ClauseRef;
+        self.watches[(!c[0]).index()].push(cref);
+        self.watches[(!c[1]).index()].push(cref);
+        self.clauses.push(c);
         cref
-    }
-
-    /// Deletes the older half of the non-binary learnt clauses once the
-    /// database exceeds the cap. Runs only at decision level 0 with no
-    /// assumptions applied, so no in-flight reason can dangle: conflict
-    /// analysis (`analyze`, `analyze_final`) never follows the reason of
-    /// a level-0 assignment, and those are the only assignments alive
-    /// here. Deterministic: age order, no heuristics with ties.
-    fn maybe_reduce(&mut self) {
-        debug_assert!(self.trail_lim.is_empty());
-        let cap = if self.learnt_cap == 0 {
-            DEFAULT_LEARNT_CAP
-        } else {
-            self.learnt_cap
-        };
-        if self.learnts.len() <= cap {
-            return;
-        }
-        self.n_reductions += 1;
-        let long: Vec<ClauseRef> = self
-            .learnts
-            .iter()
-            .copied()
-            .filter(|&c| self.clauses[c as usize].len() > 2)
-            .collect();
-        let mut dead: Vec<ClauseRef> = long[..long.len() / 2].to_vec();
-        // Free-list reuse means learnt refs are not monotone; sort for
-        // the membership probes below (still deterministic).
-        dead.sort_unstable();
-        for &cref in &dead {
-            let c = std::mem::take(&mut self.clauses[cref as usize]);
-            self.watches[(!c[0]).index()].retain(|&r| r != cref);
-            self.watches[(!c[1]).index()].retain(|&r| r != cref);
-            self.free.push(cref);
-            self.n_learnts_deleted += 1;
-        }
-        let is_dead = |r: ClauseRef| dead.binary_search(&r).is_ok();
-        self.learnts.retain(|&r| !is_dead(r));
-        // Level-0 assignments may cite a deleted clause as their reason;
-        // analysis never reads those, but clear them so the slot can be
-        // reused without leaving a confusable reference behind.
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var().index();
-            if self.reason[v].is_some_and(is_dead) {
-                self.reason[v] = None;
-            }
-        }
     }
 
     fn decision_level(&self) -> u32 {
@@ -375,7 +200,6 @@ impl Solver {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
-            self.n_propagations += 1;
             let mut i = 0;
             // Take the watch list for p (clauses where ¬p is watched... we
             // index watches by the literal that became true; stored under
@@ -516,41 +340,6 @@ impl Solver {
             .map(|v| Var(v as u32))
     }
 
-    /// Derives an unsat core from a conflict that involves only assumption
-    /// levels: the subset of assumptions reachable through reasons.
-    fn analyze_final(&self, confl: ClauseRef, n_assumps: usize) -> Vec<Lit> {
-        let mut seen = vec![false; self.num_vars()];
-        let mut core = Vec::new();
-        let mut stack: Vec<Lit> = self.clauses[confl as usize].clone();
-        while let Some(l) = stack.pop() {
-            let v = l.var().index();
-            if seen[v] || self.level[v] == 0 {
-                continue;
-            }
-            seen[v] = true;
-            match self.reason[v] {
-                Some(r) => {
-                    for &q in &self.clauses[r as usize][1..] {
-                        stack.push(q);
-                    }
-                }
-                None => {
-                    // A decision: within the assumption prefix it is an
-                    // assumption literal (the assignment is !l since l is
-                    // falsified in the clause context). Record the
-                    // assumption as given.
-                    let lvl = self.level[v] as usize;
-                    if lvl >= 1 && lvl <= n_assumps {
-                        core.push(!l);
-                    }
-                }
-            }
-        }
-        core.sort_unstable();
-        core.dedup();
-        core
-    }
-
     /// Solves the instance with no assumptions.
     pub fn solve(&mut self) -> SolveResult {
         self.solve_with(&[])
@@ -558,53 +347,27 @@ impl Solver {
 
     /// Solves under the given assumption literals.
     ///
-    /// On UNSAT, the result carries a subset of `assumptions` that is
-    /// already unsatisfiable together with the clauses (the *unsat core*).
-    /// The solver remains usable afterwards (assumptions are retracted).
+    /// The solver remains usable afterwards (assumptions are retracted;
+    /// learnt clauses are kept).
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         if self.contradiction {
-            return SolveResult::Unsat(Vec::new());
-        }
-        if let Some(d) = self.limits.deadline {
-            if Instant::now() >= d {
-                return SolveResult::Aborted(AbortReason::Deadline);
-            }
+            return SolveResult::Unsat;
         }
         self.cancel_until(0);
-        self.maybe_reduce();
-        let call_conflicts_start = self.n_conflicts;
         let mut restarts = 0u32;
         let mut conflicts_budget = luby(restarts) * 64;
 
         loop {
             if let Some(confl) = self.propagate() {
-                self.n_conflicts += 1;
-                let call_conflicts = self.n_conflicts - call_conflicts_start;
-                if self
-                    .limits
-                    .max_conflicts
-                    .is_some_and(|max| call_conflicts > max)
-                {
-                    self.cancel_until(0);
-                    return SolveResult::Aborted(AbortReason::Conflicts);
-                }
-                if self.limits.deadline.is_some() && call_conflicts % 128 == 0 {
-                    let d = self.limits.deadline.unwrap();
-                    if Instant::now() >= d {
-                        self.cancel_until(0);
-                        return SolveResult::Aborted(AbortReason::Deadline);
-                    }
-                }
                 if self.decision_level() == 0 {
                     self.contradiction = true;
                     self.cancel_until(0);
-                    return SolveResult::Unsat(Vec::new());
+                    return SolveResult::Unsat;
                 }
                 if (self.decision_level() as usize) <= assumptions.len() {
                     // Conflict entirely under assumptions.
-                    let core = self.analyze_final(confl, assumptions.len());
                     self.cancel_until(0);
-                    return SolveResult::Unsat(core);
+                    return SolveResult::Unsat;
                 }
                 let (learnt, bt) = self.analyze(confl);
                 let bt = bt.min(self.decision_level() - 1);
@@ -614,7 +377,7 @@ impl Solver {
                     self.cancel_until(0);
                     self.enqueue(assert_lit, None);
                 } else {
-                    let cref = self.attach_clause(learnt, true);
+                    let cref = self.attach_clause(learnt);
                     self.enqueue(assert_lit, Some(cref));
                 }
                 conflicts_budget -= 1;
@@ -638,9 +401,8 @@ impl Solver {
                     }
                     0 => {
                         // Assumption conflicts with current implications.
-                        let core = self.final_core_for_falsified(a, assumptions.len());
                         self.cancel_until(0);
-                        return SolveResult::Unsat(core);
+                        return SolveResult::Unsat;
                     }
                     _ => {
                         self.trail_lim.push(self.trail.len());
@@ -657,7 +419,6 @@ impl Solver {
                     return SolveResult::Sat(Model { values });
                 }
                 Some(v) => {
-                    self.n_decisions += 1;
                     self.trail_lim.push(self.trail.len());
                     let lit = if self.phase[v.index()] {
                         Lit::pos(v)
@@ -668,39 +429,6 @@ impl Solver {
                 }
             }
         }
-    }
-
-    /// Core when an assumption is directly falsified by implications of
-    /// earlier assumptions.
-    fn final_core_for_falsified(&self, a: Lit, n_assumps: usize) -> Vec<Lit> {
-        let mut seen = vec![false; self.num_vars()];
-        let mut core = vec![a];
-        // Trace from the falsified literal itself: its variable's
-        // assignment (¬a) is what contradicts the assumption.
-        let mut stack = vec![a];
-        while let Some(l) = stack.pop() {
-            let v = l.var().index();
-            if seen[v] || self.level[v] == 0 {
-                continue;
-            }
-            seen[v] = true;
-            match self.reason[v] {
-                Some(r) => {
-                    for &q in &self.clauses[r as usize][1..] {
-                        stack.push(q);
-                    }
-                }
-                None => {
-                    let lvl = self.level[v] as usize;
-                    if lvl >= 1 && lvl <= n_assumps {
-                        core.push(!l);
-                    }
-                }
-            }
-        }
-        core.sort_unstable();
-        core.dedup();
-        core
     }
 }
 
@@ -833,30 +561,10 @@ mod tests {
         s.add_clause([n(a), p(b)]);
         s.add_clause([n(b)]);
         assert!(s.solve().is_sat());
-        let r = s.solve_with(&[p(a)]);
-        assert!(!r.is_sat());
-        let core = r.core().unwrap();
-        assert_eq!(core, &[p(a)]);
+        assert!(!s.solve_with(&[p(a)]).is_sat());
         // Solver usable again afterwards.
         assert!(s.solve().is_sat());
         assert!(s.solve_with(&[n(a)]).is_sat());
-    }
-
-    #[test]
-    fn unsat_core_is_minimal_subset_here() {
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        let c = s.new_var();
-        let d = s.new_var();
-        s.add_clause([n(a), n(b)]); // a ∧ b impossible
-        let r = s.solve_with(&[p(a), p(c), p(b), p(d)]);
-        assert!(!r.is_sat());
-        let core = r.core().unwrap();
-        assert!(core.contains(&p(a)));
-        assert!(core.contains(&p(b)));
-        assert!(!core.contains(&p(c)));
-        assert!(!core.contains(&p(d)));
     }
 
     #[test]
@@ -874,125 +582,6 @@ mod tests {
     fn luby_sequence_prefix() {
         let seq: Vec<u64> = (0..9).map(luby).collect();
         assert_eq!(seq, vec![1, 1, 2, 1, 1, 2, 4, 1, 1]);
-    }
-
-    /// A pigeonhole instance big enough to guarantee conflicts.
-    fn pigeonhole(n: usize) -> Solver {
-        let mut s = Solver::new();
-        let v: Vec<Vec<Var>> = (0..n + 1)
-            .map(|_| (0..n).map(|_| s.new_var()).collect())
-            .collect();
-        for row in &v {
-            s.add_clause(row.iter().map(|&x| p(x)));
-        }
-        for j in 0..n {
-            for i1 in 0..n + 1 {
-                for i2 in (i1 + 1)..n + 1 {
-                    s.add_clause([n_(v[i1][j]), n_(v[i2][j])]);
-                }
-            }
-        }
-        s
-    }
-
-    fn n_(v: Var) -> Lit {
-        Lit::neg(v)
-    }
-
-    #[test]
-    fn conflict_limit_aborts_and_solver_stays_usable() {
-        let mut s = pigeonhole(6);
-        s.set_limits(SolveLimits {
-            max_conflicts: Some(5),
-            deadline: None,
-        });
-        let r = s.solve();
-        assert_eq!(r, SolveResult::Aborted(AbortReason::Conflicts));
-        assert!(r.model().is_none());
-        assert!(r.core().is_none());
-        // Lifting the limit finds the real answer on the same solver.
-        s.set_limits(SolveLimits::unlimited());
-        assert!(!s.solve().is_sat());
-    }
-
-    #[test]
-    fn past_deadline_aborts_before_any_work() {
-        let mut s = pigeonhole(4);
-        s.set_limits(SolveLimits {
-            max_conflicts: None,
-            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-        });
-        assert_eq!(s.solve(), SolveResult::Aborted(AbortReason::Deadline));
-        s.set_limits(SolveLimits::unlimited());
-        assert!(!s.solve().is_sat());
-    }
-
-    #[test]
-    fn generous_limits_do_not_change_results() {
-        let mut s = pigeonhole(4);
-        s.set_limits(SolveLimits {
-            max_conflicts: Some(u64::MAX),
-            deadline: Some(Instant::now() + std::time::Duration::from_secs(3600)),
-        });
-        assert!(!s.solve().is_sat());
-    }
-
-    /// Pigeonhole with a selector literal: satisfiable outright, the
-    /// full unsat pigeonhole under the assumption `¬sel` — so repeated
-    /// queries keep generating conflicts on a reusable solver.
-    fn guarded_pigeonhole(n: usize) -> (Solver, Lit) {
-        let mut s = Solver::new();
-        let sel = Lit::pos(s.new_var());
-        let v: Vec<Vec<Var>> = (0..n + 1)
-            .map(|_| (0..n).map(|_| s.new_var()).collect())
-            .collect();
-        for row in &v {
-            s.add_clause(row.iter().map(|&x| p(x)).chain(std::iter::once(sel)));
-        }
-        for j in 0..n {
-            for i1 in 0..n + 1 {
-                for i2 in (i1 + 1)..n + 1 {
-                    s.add_clause([n_(v[i1][j]), n_(v[i2][j])]);
-                }
-            }
-        }
-        (s, sel)
-    }
-
-    #[test]
-    fn learnt_reduction_bounds_db_and_preserves_answers() {
-        let (mut s, sel) = guarded_pigeonhole(6);
-        s.set_learnt_cap(16);
-        for _ in 0..3 {
-            assert!(s.solve().is_sat());
-            assert!(!s.solve_with(&[!sel]).is_sat());
-        }
-        let st = s.learnt_stats();
-        assert!(st.reductions >= 1, "cap 16 must trigger reduction: {st:?}");
-        assert!(st.deleted > 0, "reduction must delete clauses: {st:?}");
-    }
-
-    #[test]
-    fn reduction_reuses_freed_clause_slots() {
-        let (mut s, sel) = guarded_pigeonhole(6);
-        s.set_learnt_cap(8);
-        assert!(!s.solve_with(&[!sel]).is_sat());
-        s.maybe_reduce();
-        let freed = s.free.len();
-        assert!(freed > 0, "reduction must free slots");
-        for &r in &s.free {
-            assert!(s.clauses[r as usize].is_empty(), "freed slot not cleared");
-            assert!(
-                !s.learnts.contains(&r),
-                "freed slot still tracked as learnt"
-            );
-        }
-        // A new clause must fill a freed slot instead of growing the arena.
-        let before = s.clauses.len();
-        let (x, y, z) = (s.new_var(), s.new_var(), s.new_var());
-        s.add_clause([p(x), p(y), p(z)]);
-        assert_eq!(s.clauses.len(), before, "clause arena must not grow");
-        assert_eq!(s.free.len(), freed - 1);
     }
 
     #[test]

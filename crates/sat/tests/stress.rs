@@ -52,8 +52,7 @@ fn models_satisfy_all_clauses_at_scale() {
                     );
                 }
             }
-            SolveResult::Unsat(_) => unsat += 1,
-            SolveResult::Aborted(_) => panic!("no limits set, abort impossible"),
+            SolveResult::Unsat => unsat += 1,
         }
     }
     // The mix must exercise both outcomes.
@@ -69,8 +68,7 @@ fn solving_is_deterministic() {
         let (mut s, _) = load(25, &clauses);
         match s.solve() {
             SolveResult::Sat(m) => Some(format!("{m:?}")),
-            SolveResult::Unsat(_) => None,
-            SolveResult::Aborted(_) => panic!("no limits set, abort impossible"),
+            SolveResult::Unsat => None,
         }
     };
     assert_eq!(run(), run(), "same instance, same result");
@@ -92,32 +90,4 @@ fn incremental_assumption_sweep_is_consistent_with_fresh_solves() {
         assert_eq!(inc_pos, fresh_p.solve().is_sat(), "var {i} positive");
         assert_eq!(inc_neg, fresh_n.solve().is_sat(), "var {i} negative");
     }
-}
-
-#[test]
-fn unsat_cores_shrink_to_relevant_assumptions() {
-    // Chain a0 -> a1 -> ... -> a9, plus ¬a9: assuming a0 is unsat and the
-    // core must mention a0 (the only assumption).
-    let mut s = Solver::new();
-    let vars: Vec<Var> = (0..10).map(|_| s.new_var()).collect();
-    for w in vars.windows(2) {
-        s.add_clause([Lit::neg(w[0]), Lit::pos(w[1])]);
-    }
-    s.add_clause([Lit::neg(vars[9])]);
-    let r = s.solve_with(&[Lit::pos(vars[0])]);
-    assert!(!r.is_sat());
-    assert_eq!(r.core().unwrap(), &[Lit::pos(vars[0])]);
-
-    // With unrelated assumptions mixed in, they stay out of the core.
-    let mut extra = Solver::new();
-    let vars: Vec<Var> = (0..12).map(|_| extra.new_var()).collect();
-    for w in vars[..10].windows(2) {
-        extra.add_clause([Lit::neg(w[0]), Lit::pos(w[1])]);
-    }
-    extra.add_clause([Lit::neg(vars[9])]);
-    let r = extra.solve_with(&[Lit::pos(vars[10]), Lit::pos(vars[0]), Lit::neg(vars[11])]);
-    let core = r.core().unwrap();
-    assert!(core.contains(&Lit::pos(vars[0])));
-    assert!(!core.contains(&Lit::pos(vars[10])));
-    assert!(!core.contains(&Lit::neg(vars[11])));
 }

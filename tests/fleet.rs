@@ -127,8 +127,9 @@ fn killed_workers_lose_nothing_and_the_pool_recovers() {
 
 /// The per-function circuit breaker: with `refire_faults_on_retry` the
 /// injected SIGKILL fires on every delivery, so the function kills
-/// `max_task_attempts` workers and is then reported `Degraded` — and
-/// its degraded result is never inserted into the store.
+/// `lcm_fleet::supervisor::MAX_TASK_ATTEMPTS` workers and is then
+/// reported `Degraded` — and its degraded result is never inserted into
+/// the store.
 #[test]
 fn restart_storm_trips_the_circuit_breaker_and_is_never_cached() {
     if env_faults_armed() {
