@@ -2,11 +2,12 @@
 //!
 //! A worker is a child process speaking [`crate::proto`] over its
 //! stdin/stdout: it receives a module's source, compiles it, then
-//! analyzes one function per task on one thread.
-//! Analysis panics are caught and shipped back as the same
-//! `WorkerPanic` degradation the in-process `map_indexed_catch` path
-//! produces — crash isolation changes *where* a panic is caught, never
-//! what the caller sees.
+//! analyzes one function per task on one thread, through the same
+//! `Detector::analyze_functions` an in-process run uses. An analysis
+//! panic is caught there and shipped back as its `WorkerPanic`
+//! degradation (and counted in `lcm_worker_panics_total`) — crash
+//! isolation changes *where* a panic is caught, never what the caller
+//! sees.
 //!
 //! A detached heartbeat thread writes [`FromWorker::Beat`] frames while
 //! a task is in flight, so the supervisor can tell a long-running
@@ -26,7 +27,6 @@ use std::time::Duration;
 
 use lcm_core::fault::site;
 use lcm_core::govern::AnalysisError;
-use lcm_core::par::panic_message;
 use lcm_detect::{Detector, FunctionReport};
 use lcm_ir::Module;
 use lcm_obs::metrics::MetricsSnapshot;
@@ -256,20 +256,10 @@ fn handle_task(
         task_span.arg_str("dispatch", if task.stolen { "stolen" } else { "owned" });
     }
     let report = match module {
-        Some((id, Ok(m))) if *id == task.module_id => {
-            let det = Detector::new(task.config.clone());
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                det.analyze_function(m, &task.fn_name, task.engine)
-            }))
-            .unwrap_or_else(|p| {
-                FunctionReport::degraded(
-                    task.fn_name.clone(),
-                    AnalysisError::WorkerPanic {
-                        message: panic_message(p.as_ref()),
-                    },
-                )
-            })
-        }
+        Some((id, Ok(m))) if *id == task.module_id => Detector::new(task.config.clone())
+            .analyze_functions(m, task.engine, &[idx])
+            .pop()
+            .expect("one index, one report"),
         Some((id, Err(msg))) if *id == task.module_id => FunctionReport::degraded(
             task.fn_name.clone(),
             AnalysisError::MalformedIr {

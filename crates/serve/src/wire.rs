@@ -49,6 +49,8 @@
 //! break framing, so the same text is delivered inside a JSON frame:
 //! `{"id": …, "ok": true, "prometheus": "<text>"}`.
 
+use std::sync::Arc;
+
 use lcm_core::jsonw::{self, Json};
 use lcm_detect::{EngineKind, Finding, FunctionReport, ModuleReport};
 
@@ -57,8 +59,8 @@ use lcm_detect::{EngineKind, Finding, FunctionReport, ModuleReport};
 /// where there is nothing left to salvage).
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// One program to analyze (the element type of a batched analyze; a v1
-/// `analyze` is one of these plus transport).
+/// One program to analyze: what an `analyze` frame carries, and each
+/// element of an `analyze_batch` frame's `batch` array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzeItem {
     /// Inline source text, if given.
@@ -74,14 +76,7 @@ pub struct AnalyzeItem {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Analyze mini-C source (inline or from a file the *server* reads).
-    Analyze {
-        /// Inline source text, if given.
-        source: Option<String>,
-        /// Server-side path to read instead, if given.
-        file: Option<String>,
-        /// Engine to run.
-        engine: EngineKind,
-    },
+    Analyze(AnalyzeItem),
     /// Analyze many programs in one frame; the reply aggregates one
     /// result object per item, in item order.
     AnalyzeBatch(Vec<AnalyzeItem>),
@@ -99,7 +94,7 @@ impl Request {
     /// Whether the request names a file for the server to read.
     pub fn reads_file(&self) -> bool {
         match self {
-            Request::Analyze { file, .. } => file.is_some(),
+            Request::Analyze(item) => item.file.is_some(),
             Request::AnalyzeBatch(items) => items.iter().any(|i| i.file.is_some()),
             _ => false,
         }
@@ -190,14 +185,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, FrameError> {
         "stats" => Request::Stats,
         "metrics" => Request::Metrics,
         "shutdown" => Request::Shutdown,
-        "analyze" => {
-            let item = parse_item(&v).map_err(|e| FrameError::new(id.clone(), e))?;
-            Request::Analyze {
-                source: item.source,
-                file: item.file,
-                engine: item.engine,
-            }
-        }
+        "analyze" => Request::Analyze(parse_item(&v).map_err(|e| FrameError::new(id.clone(), e))?),
         "analyze_batch" => {
             let items = match v.get("batch").and_then(Json::as_arr) {
                 Some(arr) if !arr.is_empty() => arr,
@@ -308,8 +296,7 @@ pub fn module_report_json(report: &ModuleReport) -> Json {
 }
 
 /// The members of a successful analyze reply object (shared by the v1
-/// reply, the v2 reply, and each element of a batch reply, so all
-/// three render a result identically).
+/// and v2 replies, so both render a result identically).
 fn analyze_members(report: &ModuleReport, engine: EngineKind) -> Vec<(String, Json)> {
     let timings = report.timings();
     vec![
@@ -363,31 +350,14 @@ pub fn prepend_id(id: Option<&Json>, v1_line: &str) -> String {
     }
 }
 
-/// One element of a batch reply: the analyzed report, a pre-rendered
-/// reply line, or the error that stopped that item.
-pub enum BatchOutcome {
-    /// The item analyzed; same payload as a v1 analyze reply.
-    Done(ModuleReport, EngineKind),
-    /// An already-rendered v1 analyze reply line (the server's
-    /// hot-reply memo); spliced into `results` verbatim, so the
-    /// per-element byte-equality pin holds by construction.
-    Rendered(std::sync::Arc<str>),
-    /// The item failed (bad file, compile error); the reply element is
-    /// the v1 error object.
-    Failed(String),
-}
-
 /// An aggregated batch reply: `ok` is true when every element
 /// succeeded, `results` carries one object per item in item order, and
 /// each element renders exactly as the matching one-shot reply would —
-/// the reply is assembled from the element strings directly, so a
-/// [`BatchOutcome::Rendered`] element is the one-shot bytes verbatim.
-pub fn batch_reply(id: Option<&Json>, outcomes: &[BatchOutcome]) -> String {
-    let failed = outcomes
-        .iter()
-        .filter(|o| matches!(o, BatchOutcome::Failed(_)))
-        .count();
-    let mut line = String::with_capacity(64 + outcomes.len() * 64);
+/// an `Ok` element is a rendered v1 analyze reply line, spliced in
+/// verbatim, and an `Err` element is the v1 error object of that item.
+pub fn batch_reply(id: Option<&Json>, results: &[Result<Arc<str>, String>]) -> String {
+    let failed = results.iter().filter(|r| r.is_err()).count();
+    let mut line = String::with_capacity(64 + results.len() * 64);
     line.push('{');
     if let Some(id) = id {
         line.push_str("\"id\":");
@@ -397,24 +367,13 @@ pub fn batch_reply(id: Option<&Json>, outcomes: &[BatchOutcome]) -> String {
     line.push_str("\"ok\":");
     line.push_str(if failed == 0 { "true" } else { "false" });
     line.push_str(",\"results\":[");
-    for (i, o) in outcomes.iter().enumerate() {
+    for (i, r) in results.iter().enumerate() {
         if i > 0 {
             line.push(',');
         }
-        match o {
-            BatchOutcome::Done(report, engine) => {
-                line.push_str(&Json::Obj(analyze_members(report, *engine)).render());
-            }
-            BatchOutcome::Rendered(reply) => line.push_str(reply.trim_end()),
-            BatchOutcome::Failed(e) => {
-                line.push_str(
-                    &Json::Obj(vec![
-                        ("ok".into(), Json::Bool(false)),
-                        ("error".into(), Json::Str(e.clone())),
-                    ])
-                    .render(),
-                );
-            }
+        match r {
+            Ok(reply) => line.push_str(reply.trim_end()),
+            Err(e) => line.push_str(error_reply(e).trim_end()),
         }
     }
     line.push_str("],\"failed\":");
@@ -464,21 +423,21 @@ mod tests {
             .unwrap();
         assert_eq!(
             r,
-            Request::Analyze {
+            Request::Analyze(AnalyzeItem {
                 source: Some("int x;".into()),
                 file: None,
                 engine: EngineKind::Stl,
-            }
+            })
         );
         let r = parse_frame(r#"{"cmd":"analyze","file":"/tmp/a.c"}"#)
             .map(|f| f.req)
             .unwrap();
         assert!(matches!(
             r,
-            Request::Analyze {
+            Request::Analyze(AnalyzeItem {
                 engine: EngineKind::Pht,
                 ..
-            }
+            })
         ));
     }
 
@@ -570,8 +529,8 @@ mod tests {
         let b = batch_reply(
             Some(&id),
             &[
-                BatchOutcome::Done(ModuleReport::default(), EngineKind::Stl),
-                BatchOutcome::Failed("compile error: nope".into()),
+                Ok(analyze_reply(&ModuleReport::default(), EngineKind::Stl).into()),
+                Err("compile error: nope".into()),
             ],
         );
         let v = jsonw::parse(b.trim()).unwrap();
@@ -587,19 +546,6 @@ mod tests {
             format!("{}\n", results[1].render()),
             error_reply("compile error: nope")
         );
-
-        // A pre-rendered element (hot-reply memo) produces the
-        // identical batch reply bytes.
-        let rendered: std::sync::Arc<str> =
-            analyze_reply(&ModuleReport::default(), EngineKind::Stl).into();
-        let b2 = batch_reply(
-            Some(&id),
-            &[
-                BatchOutcome::Rendered(rendered),
-                BatchOutcome::Failed("compile error: nope".into()),
-            ],
-        );
-        assert_eq!(b2, b);
 
         // prepend_id matches analyze_reply_id byte for byte.
         assert_eq!(prepend_id(Some(&id), &v1), v2);

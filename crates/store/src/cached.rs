@@ -95,8 +95,9 @@ pub fn settle(report: &mut FunctionReport, store: Option<(&Store, Fingerprint)>)
 
 /// The process-wide counter of one cache disposition
 /// (`lcm_cache_{hits,misses,bypass}_total`). [`stamp_hit`] and
-/// [`settle`] count through it; the daemon's memo replays credit their
-/// hits to it and its `stats` reply reads it.
+/// [`settle`] count through it, and so does [`analyze_module_bh_cached`]
+/// for the baseline; the daemon's memo replays credit their hits to it
+/// and its `stats` reply reads it.
 pub fn cache_traffic(status: CacheStatus) -> &'static lcm_obs::metrics::Counter {
     use lcm_obs::metrics::{global, names, Counter};
     use std::sync::OnceLock;
@@ -216,7 +217,9 @@ pub fn analyze_module_cached(
 /// Only *exhaustive or capped-but-deterministic* results are cached:
 /// the step/path caps are part of the fingerprint, so a cached partial
 /// result is exactly reproducible. Degraded functions (A-CFG failure,
-/// worker panic) are never cached.
+/// worker panic) are never cached. [`cache_traffic`] counts each
+/// function by the rule [`settle`] applies to Clou reports: a hit, a
+/// stored miss, or a degraded bypass; a worker panic is not counted.
 pub fn analyze_module_bh_cached(
     module: &Module,
     engine: HauntedEngine,
@@ -233,13 +236,17 @@ pub fn analyze_module_bh_cached(
         .zip(&names)
         .map(|(res, name)| match res {
             Ok((report, was_hit)) => {
-                if was_hit {
+                let status = if was_hit {
                     counts.hits += 1;
+                    CacheStatus::Hit
                 } else if report.degraded.is_none() {
                     counts.misses += 1;
+                    CacheStatus::Miss
                 } else {
                     counts.bypassed += 1;
-                }
+                    CacheStatus::Bypass
+                };
+                cache_traffic(status).inc();
                 report
             }
             Err(message) => {

@@ -74,7 +74,7 @@ struct Inner {
     /// payload. Payloads are boxed at their exact length: the codec
     /// grows its buffer by doubling, and a long-lived daemon holds one
     /// payload per function it ever analyzed.
-    map: HashMap<(u8, Fingerprint), Box<[u8]>>,
+    map: HashMap<(RecordKind, Fingerprint), Box<[u8]>>,
     file: File,
     stats: StoreStats,
     faults: FaultPlan,
@@ -118,7 +118,7 @@ impl Store {
         };
         let mut map = HashMap::with_capacity(scan.records.len());
         for Record { kind, fp, payload } in scan.records {
-            map.insert((kind_code(kind), fp), payload.into_boxed_slice());
+            map.insert((kind, fp), payload.into_boxed_slice());
         }
         Ok(Store {
             inner: Mutex::new(Inner {
@@ -185,7 +185,7 @@ impl Store {
         decode: impl FnOnce(&[u8]) -> Option<T>,
     ) -> Option<T> {
         let mut inner = self.inner.lock().unwrap();
-        let key = (kind_code(kind), fp);
+        let key = (kind, fp);
         match inner.map.get(&key).map(|p| decode(p)) {
             Some(Some(v)) => {
                 inner.stats.hits += 1;
@@ -224,7 +224,7 @@ impl Store {
             let tmp = File::create(&tmp_path)?;
             let mut w = std::io::BufWriter::new(tmp);
             w.write_all(log::header_line().as_bytes())?;
-            for (i, ((kind_code, fp), payload)) in entries.iter().enumerate() {
+            for (i, ((kind, fp), payload)) in entries.iter().enumerate() {
                 if inner.faults.fires(site::STORE_COMPACT_CRASH, i) {
                     // Simulated crash: flush the partial temp file (the
                     // debris a real crash leaves) and bail before the
@@ -234,8 +234,7 @@ impl Store {
                         "injected fault: store.compact_crash after {i} records"
                     )));
                 }
-                let kind = kind_of_code(*kind_code);
-                w.write_all(&log::encode_record(kind, *fp, payload))?;
+                w.write_all(&log::encode_record(*kind, *fp, payload))?;
             }
             w.flush()?;
             w.get_ref().sync_all()?;
@@ -272,24 +271,7 @@ impl Store {
         if log::append_record(&mut inner.file, &encoded).is_ok() {
             inner.stats.inserts += 1;
         }
-        inner
-            .map
-            .insert((kind_code(kind), fp), payload.into_boxed_slice());
-    }
-}
-
-fn kind_code(kind: RecordKind) -> u8 {
-    match kind {
-        RecordKind::Clou => 1,
-        RecordKind::Bh => 2,
-    }
-}
-
-fn kind_of_code(code: u8) -> RecordKind {
-    match code {
-        1 => RecordKind::Clou,
-        2 => RecordKind::Bh,
-        _ => unreachable!("kind codes come from kind_code"),
+        inner.map.insert((kind, fp), payload.into_boxed_slice());
     }
 }
 

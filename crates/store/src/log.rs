@@ -47,8 +47,9 @@ pub const STORE_VERSION: u64 = 2;
 /// multi-gigabyte allocation).
 const MAX_PAYLOAD: u32 = 64 << 20;
 
-/// Payload discriminator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Payload discriminator. Declaration order is code order, so
+/// `compact` writes records sorted by kind code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RecordKind {
     /// A Clou [`lcm_detect::FunctionReport`].
     Clou,
@@ -159,10 +160,10 @@ fn scan_records(bytes: &[u8]) -> (Vec<Record>, usize, u64) {
             return (records, start, dropped + 1);
         }
         pos += 4;
-        let Some(&kind_code) = bytes.get(pos) else {
+        let Some(&code) = bytes.get(pos) else {
             return (records, start, dropped + 1);
         };
-        let Some(kind) = RecordKind::of(kind_code) else {
+        let Some(kind) = RecordKind::of(code) else {
             return (records, start, dropped + 1);
         };
         pos += 1;
@@ -189,7 +190,7 @@ fn scan_records(bytes: &[u8]) -> (Vec<Record>, usize, u64) {
         let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
         pos += 8;
         let mut sum = Vec::with_capacity(17 + payload.len());
-        sum.push(kind_code);
+        sum.push(code);
         sum.extend_from_slice(&fp.to_bytes());
         sum.extend_from_slice(payload);
         if fnv64(&sum) != stored {

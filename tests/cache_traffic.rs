@@ -5,16 +5,18 @@
 //! exactly the runs it makes. A cold run, a warm run and a degraded run
 //! through `Fleet::analyze_module` must each move the three counters by
 //! what `analyze_module_cached` moves them on the same module, and
-//! render the same reply.
+//! render the same reply. A cold and a warm baseline run through
+//! `analyze_module_bh_cached` must move them by the counts they return.
 
 use std::time::Duration;
 
 use lcm::core::fault::{site, FaultPlan};
 use lcm::detect::{Detector, DetectorConfig, EngineKind};
 use lcm::fleet::{Fleet, FleetConfig};
+use lcm::haunted::{HauntedConfig, HauntedEngine};
 use lcm::obs::metrics::{global, names};
 use lcm::serve::wire::analyze_reply;
-use lcm::store::{analyze_module_cached, Store};
+use lcm::store::{analyze_module_bh_cached, analyze_module_cached, CacheCounts, Store};
 
 const FOUR_VICTIMS: &str = r#"
     int A[16]; int B[4096]; int size; int tmp;
@@ -115,5 +117,20 @@ fn fleet_cache_traffic_matches_in_process() {
         }
     }
     fleet.shutdown();
+
+    let bh_store = fresh_store(&dir, "bh.lcmstore");
+    for (run, expected) in [("cold", [0, 4, 0]), ("warm", [4, 0, 0])] {
+        let mut counts = CacheCounts::default();
+        let moved = delta(|| {
+            let config = HauntedConfig::default();
+            counts = analyze_module_bh_cached(&m, HauntedEngine::Pht, config, &bh_store).1;
+        });
+        assert_eq!(moved, expected, "baseline {run}: [hits, misses, bypass]");
+        assert_eq!(
+            moved,
+            [counts.hits, counts.misses, counts.bypassed],
+            "baseline {run}: counters against the returned counts"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
